@@ -5,9 +5,10 @@
 //!     --workload <verify|explore|serve|all> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
-//! * `verify` — sequential `idar_solver::analyze` calls from one caller
-//!   thread under the server's default budget, over seeded scenario forms
-//!   and Table-1 reduction instances.
+//! * `verify` — sequential `idar_solver::analyze` calls over seeded
+//!   scenario forms and Table-1 reduction instances, as the default
+//!   server runs them: its budget, one closed-loop caller per server
+//!   worker, and each analysis with the worker's explorer-thread share.
 //! * `explore` — `WorkflowGraph::build` of four large forms at the
 //!   library's default thread count.
 //! * `serve` — an in-process `idar-server` driven by a closed loop of two
@@ -40,12 +41,12 @@
 //!
 //! | metric            | verify                 | explore                  | serve                       |
 //! |-------------------|------------------------|--------------------------|-----------------------------|
-//! | round             | one pass over the corpus | one pass over the inputs | one second                |
+//! | round             | between two finished passes | one pass over the inputs | one second             |
 //! | `setup_s`         | median of 9 input generations | same              | same, plus server start     |
 //! | `peak_rss_mb`     | `VmHWM` of this process, restarted each round | same | same                       |
 //! | `p50_ms`          | one `analyze` call     | median pass              | one HTTP exchange           |
 //! | `p90_ms`          | one `analyze` call     | slowest pass             | one HTTP exchange           |
-//! | `ops_per_s`       | analyses per second    | states per second        | requests per second         |
+//! | `ops_per_s`       | analyses per second, all callers | states per second | requests per second       |
 //! | `decided_share`   | verdicts not Unknown   | graphs that closed       | `/v1/analyze` verdicts not Unknown |
 //!
 //! With `--trace 1` the JSON carries the per-layer metrics of a separate

@@ -1,10 +1,19 @@
 //! `verify`: a form designer's or CI pipeline's time to a verdict.
 //!
-//! One caller thread makes sequential `idar_solver::analyze` calls,
-//! asking completability and semi-soundness of every form in the corpus
-//! under the server's default budget. The screen, method dispatch,
-//! `depth1`, `np` and CDCL do the work; the cache, sessions and HTTP are
-//! bypassed.
+//! Sequential `idar_solver::analyze` calls ask completability and
+//! semi-soundness of every form in the corpus, as the default
+//! `idar-server` runs them: under its default budget, from one closed-loop
+//! caller per server worker, each analysis with the worker's share of
+//! explorer threads (two callers with one explorer thread each on a
+//! two-core host). The screen, method dispatch, `depth1`, `np` and CDCL do
+//! the work; the cache, sessions and HTTP are bypassed.
+//!
+//! Every caller is busy for the whole run, so every run spreads its work
+//! over all of the host's cores. On a shared two-vCPU host one vCPU can
+//! run the same code a third slower than the other for minutes at a time;
+//! one caller took on whichever vCPU it was scheduled on, and over eight
+//! 15-s runs the spread (IQR/median) of its p50 was 0.16 and of its p90
+//! 0.13, against 0.08 and 0.04 for two callers alternating with it.
 
 use crate::reference;
 use crate::stats::{self, Metrics};
@@ -17,13 +26,15 @@ use idar_solver::{
 };
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Scenario forms drawn from each of the four scenario axes. With the
-/// 19 Table-1 forms a pass asks 678 questions: enough that the mix of
-/// cheap and costly scenario analyses, which sets the p50 and p90,
-/// varies little between seeds.
-const SCENARIOS_PER_AXIS: usize = 80;
+/// 19 Table-1 forms a pass asks 1 318 questions. The mix of cheap and
+/// costly scenario analyses sets the p50 and p90; at 80 forms per axis
+/// one seed's p90 sat below another's in each of four alternating runs,
+/// so the count was doubled.
+const SCENARIOS_PER_AXIS: usize = 160;
 
 /// Largest reachable space the plain reference enumeration explores
 /// (philosophers(6) has 47 288 states).
@@ -67,6 +78,13 @@ struct Item {
 /// (multiplicity cap 1, 20 000 states).
 pub fn server_budget() -> Budget {
     idar_server::ServerConfig::default().budget
+}
+
+/// The default `idar-server`'s workers and the explorer threads it
+/// grants each request's analysis: `split_threads(threads, concurrency)`.
+pub fn server_split() -> (usize, usize) {
+    let config = idar_server::ServerConfig::default();
+    idar_solver::split_threads(config.threads, config.concurrency)
 }
 
 fn corpus(seed: u64) -> Vec<Item> {
@@ -241,27 +259,35 @@ fn check(item: &Item, e: &Expected, r: &AnalysisReport) -> Result<(), String> {
 /// An analysis's latency in milliseconds and its report.
 type Timed = (f64, AnalysisReport);
 
-/// One timed pass over every (form, question): latency in ms, verdict
-/// and method per analysis.
-fn pass(requests: &[AnalysisRequest]) -> Vec<Timed> {
-    requests
-        .iter()
-        .map(|req| {
-            let t0 = Instant::now();
-            let r = analyze(black_box(req));
-            (stats::ms(t0.elapsed()), r)
-        })
+/// One timed pass over every (form, question), asked from index `start`
+/// round to `start - 1`: latency in ms, verdict and method per analysis,
+/// in index order.
+fn pass(requests: &[AnalysisRequest], start: usize) -> Vec<Timed> {
+    let mut out: Vec<Option<Timed>> = (0..requests.len()).map(|_| None).collect();
+    for k in 0..requests.len() {
+        let i = (start + k) % requests.len();
+        let t0 = Instant::now();
+        let r = analyze(black_box(&requests[i]));
+        out[i] = Some((stats::ms(t0.elapsed()), r));
+    }
+    out.into_iter()
+        .map(|t| t.expect("every index asked"))
         .collect()
 }
 
 pub fn run(seed: u64, seconds: f64, trace: bool) -> Run {
     let budget = server_budget();
+    let (callers, threads) = server_split();
     let ((items, requests), setup_s) = stats::timed_setup(|| {
         let items = corpus(seed);
         let requests: Vec<AnalysisRequest> = items
             .iter()
             .flat_map(|it| {
-                KINDS.map(|k| AnalysisRequest::new(it.form.clone(), k).with_budget(budget.clone()))
+                KINDS.map(|k| {
+                    AnalysisRequest::new(it.form.clone(), k)
+                        .with_budget(budget.clone())
+                        .with_threads(threads)
+                })
             })
             .collect();
         (items, requests)
@@ -317,34 +343,53 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Run {
         return out;
     }
 
-    // Closed loop of whole passes, so every pass has the same mix.
+    // One closed loop of whole passes per caller, so every pass has the
+    // same mix. This thread checks each pass as it arrives.
     let mut passes: Vec<Vec<f64>> = Vec::new();
     let mut rss = Vec::new();
     let mut decided = 0usize;
-    let mut threads = 0usize;
     let started = Instant::now();
-    while started.elapsed().as_secs_f64() < seconds {
+    let (tx, rx) = mpsc::channel::<Vec<Timed>>();
+    std::thread::scope(|scope| {
+        for c in 0..callers {
+            let (tx, requests) = (tx.clone(), &requests);
+            // Callers start at evenly spaced points of the corpus, so the
+            // few heavy analyses seldom run at the same time.
+            let start = c * requests.len() / callers;
+            scope.spawn(move || {
+                while started.elapsed().as_secs_f64() < seconds {
+                    if tx.send(pass(requests, start)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
         stats::reset_peak_rss();
-        let results = pass(&requests);
-        rss.push(stats::peak_rss_mb());
-        record(&mut out, &results);
-        decided += results
-            .iter()
-            .filter(|(_, r)| r.verdict != Verdict::Unknown)
-            .count();
-        threads = results[0].1.threads;
-        passes.push(results.into_iter().map(|(ms, _)| ms).collect());
-    }
-    out.context(format!("explorer_threads={threads}"));
+        for results in rx {
+            // A round is the time between two finished passes.
+            rss.push(stats::peak_rss_mb());
+            stats::reset_peak_rss();
+            record(&mut out, &results);
+            decided += results
+                .iter()
+                .filter(|(_, r)| r.verdict != Verdict::Unknown)
+                .count();
+            passes.push(results.into_iter().map(|(ms, _)| ms).collect());
+        }
+    });
+    out.context(format!("callers={callers} explorer_threads={threads}"));
 
     let n: usize = passes.iter().map(Vec::len).sum();
     let m = &mut out.metrics;
     let all: Vec<f64> = passes.concat();
     stats::put_latency(m, "analyze", &all);
+    // Every caller is always busy, so together they finish `callers`
+    // analyses per mean analysis time.
     m.put(
         "analyses_per_s",
         "1/s",
-        n as f64 * 1e3 / all.iter().sum::<f64>(),
+        (callers * n) as f64 * 1e3 / all.iter().sum::<f64>(),
         n,
     );
     stats::put_round_rss(m, &rss);
@@ -408,7 +453,7 @@ fn traced(
     let started = Instant::now();
     while passes == 0 || started.elapsed().as_secs_f64() < seconds {
         passes += 1;
-        let plain = pass(requests);
+        let plain = pass(requests, 0);
         untraced_s += plain.iter().map(|(ms, _)| ms).sum::<f64>() / 1e3;
         record(out, &plain);
         let mut split = Vec::with_capacity(requests.len());
@@ -451,10 +496,15 @@ fn traced(
                 idar_solver::prune(&req.form, &s.dead_rules)
             };
             prune += t0.elapsed();
-            let skip = AnalysisRequest::new(form, req.kind).with_budget(Budget {
-                skip_screen: true,
-                ..req.budget.clone()
-            });
+            let skip = AnalysisRequest {
+                form,
+                kind: req.kind,
+                budget: Budget {
+                    skip_screen: true,
+                    ..req.budget.clone()
+                },
+                threads: req.threads,
+            };
             let t0 = Instant::now();
             let r = analyze(&skip);
             let dt = t0.elapsed();
