@@ -26,6 +26,7 @@
 //! (selections, annotations) across the quotient.
 
 use crate::instance::{InstNodeId, Instance};
+use crate::intern::KeyScratch;
 use std::fmt;
 
 /// The result of [`Instance::canonicalize`]: canonical representative,
@@ -92,6 +93,7 @@ impl Instance {
             InstNodeId::ROOT,
             &mut out,
             &mut renaming,
+            &mut KeyScratch::default(),
         );
         let fingerprint = out.canon_key().fingerprint();
         debug_assert_eq!(
@@ -116,23 +118,14 @@ fn rebuild(
     dst_node: InstNodeId,
     out: &mut Instance,
     renaming: &mut [Option<InstNodeId>],
+    scratch: &mut KeyScratch,
 ) {
-    let mut kids: Vec<(Vec<u32>, InstNodeId)> = src
-        .children(src_node)
-        .iter()
-        .map(|&c| {
-            let mut enc = Vec::new();
-            crate::intern::encode_node(src, c, &mut enc);
-            (enc, c)
-        })
-        .collect();
-    kids.sort_unstable();
-    for (_, c) in kids {
+    for c in scratch.canonical_child_order(src, src_node) {
         let nc = out
             .add_child(dst_node, src.schema_node(c))
             .expect("schema edge preserved by canonicalization");
         renaming[c.index()] = Some(nc);
-        rebuild(src, c, nc, out, renaming);
+        rebuild(src, c, nc, out, renaming, scratch);
     }
 }
 

@@ -28,6 +28,7 @@ mod simplify;
 
 pub use eval::{holds, holds_at_root, path_targets};
 pub use normal::StepFormula;
+pub use parser::MAX_FORMULA_DEPTH;
 
 use std::fmt;
 

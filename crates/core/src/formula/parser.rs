@@ -25,12 +25,22 @@
 use super::{Formula, PathExpr};
 use crate::error::{CoreError, Result};
 
+/// The deepest a parsed formula may nest, counted in syntax-tree levels
+/// (formula and path nodes alike) and, separately, in nested `!`,
+/// `(…)` and `[…]`. The parser, the evaluator, the guard compiler and
+/// `Drop` all recurse once per level, so without a cap one short input
+/// (100 000 nested `!` is ~100 KB) overflows the stack and aborts the
+/// process; past the cap [`Formula::parse`] returns
+/// [`CoreError::Parse`] instead.
+pub const MAX_FORMULA_DEPTH: usize = 256;
+
 pub fn parse(text: &str) -> Result<Formula> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        open: 0,
     };
-    let f = p.formula()?;
+    let (f, _) = p.formula()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("unexpected trailing input"));
@@ -38,9 +48,14 @@ pub fn parse(text: &str) -> Result<Formula> {
     Ok(f)
 }
 
+/// A parsed node together with its syntax-tree depth.
+type Node<T> = (T, usize);
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Nested `!`, `(…)` and `[…]` currently open: the recursion depth.
+    open: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -49,6 +64,32 @@ impl<'a> Parser<'a> {
             pos: self.pos,
             msg: msg.to_string(),
         }
+    }
+
+    fn too_deep(&self) -> CoreError {
+        self.err(&format!(
+            "formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+        ))
+    }
+
+    /// Run a nested parse (under `!`, `(` or `[`), refusing to recurse
+    /// past the cap.
+    fn nested<T>(&mut self, inner: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.open >= MAX_FORMULA_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        let out = inner(self);
+        self.open -= 1;
+        out
+    }
+
+    /// Build a node one level above its deepest child, within the cap.
+    fn node<T>(&self, value: T, child_depth: usize) -> Result<Node<T>> {
+        if child_depth >= MAX_FORMULA_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((value, child_depth + 1))
     }
 
     fn skip_ws(&mut self) {
@@ -85,45 +126,47 @@ impl<'a> Parser<'a> {
         toks.iter().any(|t| self.eat(t))
     }
 
-    fn formula(&mut self) -> Result<Formula> {
-        let lhs = self.or_expr()?;
+    fn formula(&mut self) -> Result<Node<Formula>> {
+        let (lhs, dl) = self.or_expr()?;
         if self.eat_any(&["<->", "\u{2194}", "iff"]) {
-            let rhs = self.or_expr()?;
-            return Ok(lhs.iff(rhs));
+            let (rhs, dr) = self.or_expr()?;
+            // (a ∧ b) ∨ (¬a ∧ ¬b): three levels above the operands.
+            return self.node(lhs.iff(rhs), dl.max(dr) + 2);
         }
-        Ok(lhs)
+        Ok((lhs, dl))
     }
 
-    fn or_expr(&mut self) -> Result<Formula> {
-        let mut f = self.and_expr()?;
+    fn or_expr(&mut self) -> Result<Node<Formula>> {
+        let (mut f, mut d) = self.and_expr()?;
         while self.eat_any(&["||", "|", "or", "\u{2228}"]) {
-            let rhs = self.and_expr()?;
-            f = f.or(rhs);
+            let (rhs, dr) = self.and_expr()?;
+            (f, d) = self.node(f.or(rhs), d.max(dr))?;
         }
-        Ok(f)
+        Ok((f, d))
     }
 
-    fn and_expr(&mut self) -> Result<Formula> {
-        let mut f = self.unary()?;
+    fn and_expr(&mut self) -> Result<Node<Formula>> {
+        let (mut f, mut d) = self.unary()?;
         while self.eat_any(&["&&", "&", "and", "\u{2227}"]) {
-            let rhs = self.unary()?;
-            f = f.and(rhs);
+            let (rhs, dr) = self.unary()?;
+            (f, d) = self.node(f.and(rhs), d.max(dr))?;
         }
-        Ok(f)
+        Ok((f, d))
     }
 
-    fn unary(&mut self) -> Result<Formula> {
+    fn unary(&mut self) -> Result<Node<Formula>> {
         if self.eat_any(&["!", "not", "\u{00ac}"]) {
-            return Ok(self.unary()?.not());
+            let (f, d) = self.nested(Self::unary)?;
+            return self.node(f.not(), d);
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Formula> {
+    fn atom(&mut self) -> Result<Node<Formula>> {
         match self.peek() {
             Some(b'(') => {
                 self.pos += 1;
-                let inner = self.formula()?;
+                let (inner, d) = self.nested(Self::formula)?;
                 if !self.eat(")") {
                     return Err(self.err("expected `)`"));
                 }
@@ -135,79 +178,82 @@ impl<'a> Parser<'a> {
                              but it is not a path expression",
                         ));
                     };
-                    let p = self.path_tail(p)?;
-                    return Ok(Formula::Path(p));
+                    // `inner` was `Path(p)`: `p` sits one level lower.
+                    let (p, d) = self.path_tail((p, d - 1))?;
+                    return self.node(Formula::Path(p), d);
                 }
-                Ok(inner)
+                Ok((inner, d))
             }
             Some(_) => {
                 if self.eat("true") {
-                    return Ok(Formula::True);
+                    return Ok((Formula::True, 1));
                 }
                 if self.eat("false") {
-                    return Ok(Formula::False);
+                    return Ok((Formula::False, 1));
                 }
-                let p = self.path()?;
-                Ok(Formula::Path(p))
+                let (p, d) = self.path()?;
+                self.node(Formula::Path(p), d)
             }
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn path(&mut self) -> Result<PathExpr> {
+    fn path(&mut self) -> Result<Node<PathExpr>> {
         let first = self.step()?;
         self.path_tail(first)
     }
 
+    /// Parse `[formula]` after the `[`.
+    fn filter(&mut self) -> Result<Node<Formula>> {
+        let f = self.nested(Self::formula)?;
+        if !self.eat("]") {
+            return Err(self.err("expected `]`"));
+        }
+        Ok(f)
+    }
+
     /// Continue a path: apply any number of `/step` extensions.
-    fn path_tail(&mut self, mut p: PathExpr) -> Result<PathExpr> {
+    fn path_tail(&mut self, (mut p, mut d): Node<PathExpr>) -> Result<Node<PathExpr>> {
         loop {
             // Filters directly on a parenthesised path land here too.
             while self.peek() == Some(b'[') {
                 self.pos += 1;
-                let f = self.formula()?;
-                if !self.eat("]") {
-                    return Err(self.err("expected `]`"));
-                }
-                p = PathExpr::Filter(Box::new(p), Box::new(f));
+                let (f, df) = self.filter()?;
+                (p, d) = self.node(PathExpr::Filter(Box::new(p), Box::new(f)), d.max(df))?;
             }
             if self.peek() == Some(b'/') {
                 self.pos += 1;
-                let s = self.step()?;
-                p = PathExpr::Seq(Box::new(p), Box::new(s));
+                let (s, ds) = self.step()?;
+                (p, d) = self.node(PathExpr::Seq(Box::new(p), Box::new(s)), d.max(ds))?;
             } else {
-                return Ok(p);
+                return Ok((p, d));
             }
         }
     }
 
-    fn step(&mut self) -> Result<PathExpr> {
+    fn step(&mut self) -> Result<Node<PathExpr>> {
         self.skip_ws();
-        let mut base = if self.eat("..") {
-            PathExpr::Parent
+        let (mut base, mut d) = if self.eat("..") {
+            (PathExpr::Parent, 1)
         } else if self.peek() == Some(b'(') {
             self.pos += 1;
-            let inner = self.formula()?;
+            let (inner, d) = self.nested(Self::formula)?;
             if !self.eat(")") {
                 return Err(self.err("expected `)`"));
             }
             let Formula::Path(p) = inner else {
                 return Err(self.err("expected a path expression inside `(…)` step"));
             };
-            p
+            (p, d - 1)
         } else {
-            let label = self.ident()?;
-            PathExpr::Label(label)
+            (PathExpr::Label(self.ident()?), 1)
         };
         while self.peek() == Some(b'[') {
             self.pos += 1;
-            let f = self.formula()?;
-            if !self.eat("]") {
-                return Err(self.err("expected `]`"));
-            }
-            base = PathExpr::Filter(Box::new(base), Box::new(f));
+            let (f, df) = self.filter()?;
+            (base, d) = self.node(PathExpr::Filter(Box::new(base), Box::new(f)), d.max(df))?;
         }
-        Ok(base)
+        Ok((base, d))
     }
 
     fn ident(&mut self) -> Result<String> {
@@ -344,6 +390,39 @@ mod tests {
         ] {
             assert!(Formula::parse(s).is_err(), "should fail: {s}");
         }
+    }
+
+    /// Inputs nested past the cap are parse errors, not stack overflows,
+    /// whichever construct does the nesting; the deepest accepted formula
+    /// still evaluates, prints and re-parses.
+    #[test]
+    fn nesting_is_capped() {
+        use super::MAX_FORMULA_DEPTH as MAX;
+        let n = 100_000;
+        let deep = [
+            format!("{}a", "!".repeat(n)),
+            format!("{}a{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}a{}", "a[".repeat(n), "]".repeat(n)),
+            vec!["a"; n].join(" & "),
+            vec!["a"; n].join(" | "),
+            vec!["a"; n].join("/"),
+            format!("a{}", "[b]".repeat(n)),
+        ];
+        for text in &deep {
+            let err = Formula::parse(text).unwrap_err();
+            assert!(err.to_string().contains("nests deeper"), "{err}");
+        }
+        // `Path(Label)` is two levels, each `!` one more.
+        let at_cap = format!("{}a", "!".repeat(MAX - 2));
+        let f = p(&at_cap);
+        assert_eq!(Formula::parse(&f.to_string()), Ok(f.clone()));
+        let schema = std::sync::Arc::new(crate::Schema::parse("a").unwrap());
+        let i = crate::Instance::empty(schema.clone());
+        let odd = (MAX - 2) % 2 == 1;
+        assert_eq!(crate::formula::holds_at_root(&i, &f), odd);
+        let g = crate::Guard::compile(&schema, crate::SchemaNodeId::ROOT, &f);
+        assert_eq!(g.holds(&i, crate::InstNodeId::ROOT), odd);
+        assert!(Formula::parse(&format!("!{at_cap}")).is_err());
     }
 
     #[test]

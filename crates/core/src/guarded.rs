@@ -8,11 +8,12 @@
 //! current instance.
 
 use crate::error::{CoreError, Result};
-use crate::formula::{holds, Formula};
+use crate::formula::Formula;
+use crate::guard::GuardTable;
 use crate::instance::{InstNodeId, Instance};
 use crate::schema::{Schema, SchemaNodeId};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The access rights `R = {add, del}` of Sec. 3.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -174,12 +175,19 @@ impl fmt::Display for Update {
 }
 
 /// A guarded form `(M, A, I₀, φ)` (Def. 3.11).
+///
+/// The access rules and the completion formula are compiled into
+/// schema-resolved guards ([`crate::guard`]) the first time an update or
+/// completion is checked, not in [`GuardedForm::new`]: forms that are
+/// only built, classified or serialised never pay for it. Clones and
+/// [`GuardedForm::with_initial`] share the compiled table.
 #[derive(Debug, Clone)]
 pub struct GuardedForm {
     schema: Arc<Schema>,
     rules: AccessRules,
     initial: Instance,
     completion: Formula,
+    guards: Arc<OnceLock<GuardTable>>,
 }
 
 /// A run of a guarded form: the sequence of instances visited, paired with
@@ -229,7 +237,15 @@ impl GuardedForm {
             rules,
             initial,
             completion,
+            guards: Arc::default(),
         }
+    }
+
+    /// The compiled access rules and completion formula, compiled on
+    /// first use.
+    fn guards(&self) -> &GuardTable {
+        self.guards
+            .get_or_init(|| GuardTable::compile(&self.schema, &self.rules, &self.completion))
     }
 
     /// The schema `M`.
@@ -260,6 +276,7 @@ impl GuardedForm {
             rules: self.rules.clone(),
             initial,
             completion: self.completion.clone(),
+            guards: self.guards.clone(),
         }
     }
 
@@ -271,12 +288,13 @@ impl GuardedForm {
             rules: self.rules.clone(),
             initial: self.initial.clone(),
             completion,
+            guards: Arc::default(),
         }
     }
 
     /// Does the completion formula hold for `inst` (at the root)?
     pub fn is_complete(&self, inst: &Instance) -> bool {
-        crate::formula::holds_at_root(inst, &self.completion)
+        self.guards().complete_holds(inst)
     }
 
     /// Is this form deletion-free ([`AccessRules::deletion_free`])?
@@ -297,7 +315,7 @@ impl GuardedForm {
                 if self.schema.parent(*edge) != Some(inst.schema_node(*parent)) {
                     return false;
                 }
-                holds(inst, *parent, self.rules.get(Right::Add, *edge))
+                self.guards().add_holds(*edge, inst, *parent)
             }
             Update::Del { node } => {
                 if !inst.is_live(*node) || *node == InstNodeId::ROOT {
@@ -307,8 +325,8 @@ impl GuardedForm {
                     return false;
                 }
                 let parent = inst.parent(*node).expect("non-root");
-                let edge = inst.schema_node(*node);
-                holds(inst, parent, self.rules.get(Right::Del, edge))
+                self.guards()
+                    .del_holds(inst.schema_node(*node), inst, parent)
             }
         }
     }
@@ -319,25 +337,50 @@ impl GuardedForm {
     /// whose guard holds; for deletions, one per deletable leaf.
     pub fn allowed_updates(&self, inst: &Instance) -> Vec<Update> {
         let mut out = Vec::new();
+        self.allowed_updates_into(inst, &mut out);
+        out
+    }
+
+    /// [`GuardedForm::allowed_updates`] into a caller-owned buffer
+    /// (cleared first), in the same order.
+    pub fn allowed_updates_into(&self, inst: &Instance, out: &mut Vec<Update>) {
+        out.clear();
+        self.for_each_allowed(inst, |u| {
+            out.push(u);
+            true
+        });
+    }
+
+    /// Does `inst` admit any allowed update? Stops at the first one.
+    pub fn has_allowed_update(&self, inst: &Instance) -> bool {
+        let mut found = false;
+        self.for_each_allowed(inst, |_| {
+            found = true;
+            false
+        });
+        found
+    }
+
+    /// Feed the allowed updates of `inst` to `visit` in enumeration order
+    /// (live nodes by id; at each node its additions in schema-edge order,
+    /// then its own deletion) until `visit` returns `false`.
+    fn for_each_allowed(&self, inst: &Instance, mut visit: impl FnMut(Update) -> bool) {
+        let guards = self.guards();
         for n in inst.live_nodes() {
-            let sn = inst.schema_node(n);
-            for &edge in self.schema.children(sn) {
-                if holds(inst, n, self.rules.get(Right::Add, edge)) {
-                    out.push(Update::Add { parent: n, edge });
+            for &edge in self.schema.children(inst.schema_node(n)) {
+                if guards.add_holds(edge, inst, n) && !visit(Update::Add { parent: n, edge }) {
+                    return;
                 }
             }
-            if n != InstNodeId::ROOT && inst.is_leaf(n) {
-                let parent = inst.parent(n).expect("non-root");
-                if holds(
-                    inst,
-                    parent,
-                    self.rules.get(Right::Del, inst.schema_node(n)),
-                ) {
-                    out.push(Update::Del { node: n });
+            if let Some(parent) = inst.parent(n) {
+                if inst.is_leaf(n)
+                    && guards.del_holds(inst.schema_node(n), inst, parent)
+                    && !visit(Update::Del { node: n })
+                {
+                    return;
                 }
             }
         }
-        out
     }
 
     /// Apply an update, checking it is allowed. Returns the id of the added

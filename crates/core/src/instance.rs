@@ -9,6 +9,7 @@
 //! invariant of the representation, not a runtime property.
 
 use crate::error::{CoreError, Result};
+use crate::guarded::Update;
 use crate::schema::{Schema, SchemaNodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -38,13 +39,53 @@ impl fmt::Display for InstNodeId {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct InstNode {
     /// The image of this node under the (unique) homomorphism to the schema.
     schema_node: SchemaNodeId,
     parent: Option<InstNodeId>,
     children: Vec<InstNodeId>,
     alive: bool,
+}
+
+impl Clone for InstNode {
+    fn clone(&self) -> Self {
+        InstNode {
+            schema_node: self.schema_node,
+            parent: self.parent,
+            children: self.children.clone(),
+            alive: self.alive,
+        }
+    }
+
+    /// Reuses the child list's buffer (what [`Instance::clone_from`]
+    /// relies on).
+    fn clone_from(&mut self, source: &Self) {
+        self.schema_node = source.schema_node;
+        self.parent = source.parent;
+        self.children.clone_from(&source.children);
+        self.alive = source.alive;
+    }
+}
+
+/// How to revert one in-place update ([`Instance::apply_in_place`]).
+///
+/// Undos must be applied last-in first-out to the instance that produced
+/// them; the instance is then identical to before the update, node ids,
+/// slot count and child order included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Undo {
+    /// Revert an addition: the added leaf is the last slot and the last
+    /// child of its parent; pop both.
+    Added(InstNodeId),
+    /// Revert a deletion: revive `node` at position `pos` of its parent's
+    /// child list.
+    Deleted {
+        /// The deleted leaf.
+        node: InstNodeId,
+        /// Its former position among its parent's children.
+        pos: usize,
+    },
 }
 
 /// An instance of a [`Schema`]: a rooted node-labelled tree together with
@@ -60,11 +101,32 @@ struct InstNode {
 /// i.add_child_by_label(p, "b").unwrap();
 /// assert_eq!(i.live_count(), 4); // r, a, p, b
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Instance {
     schema: Arc<Schema>,
     nodes: Vec<InstNode>,
     live: usize,
+}
+
+impl Clone for Instance {
+    fn clone(&self) -> Self {
+        Instance {
+            schema: self.schema.clone(),
+            nodes: self.nodes.clone(),
+            live: self.live,
+        }
+    }
+
+    /// Copies into `self`'s node and child-list buffers, so reloading a
+    /// working instance allocates only when it outgrows them (the
+    /// explorers' successor kernel reloads one per expanded state).
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.schema, &source.schema) {
+            self.schema = source.schema.clone();
+        }
+        self.nodes.clone_from(&source.nodes);
+        self.live = source.live;
+    }
 }
 
 impl Instance {
@@ -237,6 +299,12 @@ impl Instance {
     /// Fails on the root and on internal nodes: "the only updates … are the
     /// additions and deletions of edges that add and remove leaf nodes".
     pub fn remove_leaf(&mut self, id: InstNodeId) -> Result<()> {
+        self.detach_leaf(id).map(|_| ())
+    }
+
+    /// [`Instance::remove_leaf`], returning the leaf's former position in
+    /// its parent's child list.
+    fn detach_leaf(&mut self, id: InstNodeId) -> Result<usize> {
         self.check(id)?;
         if id == InstNodeId::ROOT {
             return Err(CoreError::CannotDeleteRoot);
@@ -253,7 +321,58 @@ impl Instance {
         kids.remove(pos);
         self.nodes[id.index()].alive = false;
         self.live -= 1;
-        Ok(())
+        Ok(pos)
+    }
+
+    /// Apply a Sec. 3.4 update in place, without consulting access rules
+    /// (structural validity is checked as in [`Instance::add_child`] and
+    /// [`Instance::remove_leaf`]), and return what reverts it. The
+    /// explorers expand a state by applying and undoing each successor's
+    /// update on one working copy instead of cloning per successor.
+    ///
+    /// ```
+    /// # use idar_core::{InstNodeId, Instance, Schema, Update};
+    /// # use std::sync::Arc;
+    /// let schema = Arc::new(Schema::parse("a, b").unwrap());
+    /// let mut i = Instance::parse(schema.clone(), "a, b").unwrap();
+    /// let before = i.to_text();
+    /// let a = i.children(InstNodeId::ROOT)[0];
+    /// let undo = i.apply_in_place(&Update::Del { node: a }).unwrap();
+    /// assert_eq!(i.to_text(), "b");
+    /// i.undo(undo);
+    /// assert_eq!(i.to_text(), before);
+    /// ```
+    pub fn apply_in_place(&mut self, update: &Update) -> Result<Undo> {
+        match *update {
+            Update::Add { parent, edge } => self.add_child(parent, edge).map(Undo::Added),
+            Update::Del { node } => self
+                .detach_leaf(node)
+                .map(|pos| Undo::Deleted { node, pos }),
+        }
+    }
+
+    /// Revert the update that produced `undo` (see [`Undo`] for the
+    /// last-in first-out contract).
+    pub fn undo(&mut self, undo: Undo) {
+        match undo {
+            Undo::Added(id) => {
+                debug_assert_eq!(id.index() + 1, self.nodes.len(), "undo out of order");
+                let node = self.nodes.pop().expect("an added leaf has a slot");
+                let parent = node.parent.expect("an added leaf has a parent");
+                let popped = self.nodes[parent.index()].children.pop();
+                debug_assert_eq!(popped, Some(id), "undo out of order");
+                self.live -= 1;
+            }
+            Undo::Deleted { node, pos } => {
+                debug_assert!(!self.nodes[node.index()].alive, "undo out of order");
+                let parent = self.nodes[node.index()]
+                    .parent
+                    .expect("a leaf has a parent");
+                self.nodes[parent.index()].children.insert(pos, node);
+                self.nodes[node.index()].alive = true;
+                self.live += 1;
+            }
+        }
     }
 
     /// Rebuild the arena without tombstones. Node ids are *not* preserved;

@@ -13,7 +13,9 @@
 //! 1. [`CanonKey`] — a compact canonical encoding of the instance as a
 //!    `u32` word sequence (schema-node ids plus tree delimiters, children
 //!    sorted), with a 64-bit FNV-1a fingerprint over the words. Building
-//!    it never allocates label strings and never formats.
+//!    it never allocates label strings and never formats; with a reused
+//!    [`KeyScratch`] ([`Instance::canon_key_into`]) it allocates nothing:
+//!    siblings are encoded in place and their ranges sorted there.
 //! 2. An intern table ([`Interner`]) keyed by the fingerprint. Lookups
 //!    compare the fingerprint first and fall back to a word-slice
 //!    `memcmp` only within a fingerprint bucket — so a true 64-bit
@@ -114,51 +116,140 @@ fn fnv1a(words: &[u32]) -> u64 {
     h
 }
 
-/// Recursively encode the subtree under `node`, appending to `out`.
+/// Caller-owned scratch for building keys without allocating: the
+/// encoded words, plus the child-range stack and copy buffer the
+/// in-place sibling sort uses. Keep one per thread and reuse it; after
+/// a few calls its buffers stop growing.
 ///
-/// Children are encoded into scratch buffers, sorted as word slices, then
-/// concatenated — the sort is what quotients away sibling order.
-fn encode_children(inst: &Instance, node: InstNodeId, out: &mut Vec<u32>) {
-    let children = inst.children(node);
-    match children.len() {
-        0 => {}
-        1 => encode_node(inst, children[0], out),
-        _ => {
-            let mut encs: Vec<Vec<u32>> = children
-                .iter()
-                .map(|&c| {
-                    let mut e = Vec::new();
-                    encode_node(inst, c, &mut e);
-                    e
-                })
-                .collect();
-            encs.sort_unstable();
-            for e in encs {
-                out.extend_from_slice(&e);
+/// ```
+/// use idar_core::{Instance, KeyScratch, Schema};
+/// use std::sync::Arc;
+///
+/// let schema = Arc::new(Schema::parse("a(p(b, e)), s").unwrap());
+/// let i = Instance::parse(schema, "s, a(p(e), p(b))").unwrap();
+/// let mut scratch = KeyScratch::default();
+/// let fingerprint = i.canon_key_into(&mut scratch);
+/// let key = i.canon_key();
+/// assert_eq!((fingerprint, scratch.words()), (key.fingerprint(), key.words()));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct KeyScratch {
+    words: Vec<u32>,
+    /// `(start, len)` of each encoded sibling still to be sorted, as a
+    /// stack: a node's children sit above its ancestors' pending ranges.
+    ranges: Vec<(u32, u32)>,
+    tmp: Vec<u32>,
+}
+
+impl KeyScratch {
+    /// The words of the last key encoded into this scratch.
+    #[inline]
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
+
+    /// Encode `node`'s subtree canonically: `[schema_node]` for a leaf,
+    /// else `[schema_node, OPEN, …sorted children…, CLOSE]`.
+    fn node(&mut self, inst: &Instance, node: InstNodeId) {
+        self.words.push(inst.schema_node(node).index() as u32);
+        if !inst.is_leaf(node) {
+            self.words.push(OPEN);
+            self.children(inst, node);
+            self.words.push(CLOSE);
+        }
+    }
+
+    /// Append the sorted encodings of `node`'s children. Each child is
+    /// encoded in place; their ranges are then sorted as word slices and
+    /// the segment rewritten in that order.
+    fn children(&mut self, inst: &Instance, node: InstNodeId) {
+        let kids = inst.children(node);
+        match kids {
+            [] => return,
+            [only] => return self.node(inst, *only),
+            _ => {}
+        }
+        let start = self.words.len();
+        let base = self.ranges.len();
+        for &c in kids {
+            let from = self.words.len();
+            self.node(inst, c);
+            self.ranges
+                .push((from as u32, (self.words.len() - from) as u32));
+        }
+        self.sort_segment(start, base);
+        self.ranges.truncate(base);
+    }
+
+    /// Sort the sibling encodings `ranges[base..]`, which tile
+    /// `words[start..]`.
+    fn sort_segment(&mut self, start: usize, base: usize) {
+        let KeyScratch { words, ranges, tmp } = self;
+        let ranges = &mut ranges[base..];
+        if ranges.len() == words.len() - start {
+            // Every sibling is a leaf: one word each.
+            words[start..].sort_unstable();
+            return;
+        }
+        let slice = |r: &(u32, u32)| &words[r.0 as usize..(r.0 + r.1) as usize];
+        if ranges.windows(2).all(|w| slice(&w[0]) <= slice(&w[1])) {
+            return;
+        }
+        ranges.sort_unstable_by(|a, b| slice(a).cmp(slice(b)));
+        tmp.clear();
+        tmp.extend_from_slice(&words[start..]);
+        let mut at = start;
+        for &(from, len) in ranges.iter() {
+            let (from, len) = (from as usize - start, len as usize);
+            words[at..at + len].copy_from_slice(&tmp[from..from + len]);
+            at += len;
+        }
+    }
+
+    /// Encode `node`'s subtree in child order (no sibling sort).
+    fn node_ordered(&mut self, inst: &Instance, node: InstNodeId) {
+        self.words.push(inst.schema_node(node).index() as u32);
+        if !inst.is_leaf(node) {
+            self.words.push(OPEN);
+            for &c in inst.children(node) {
+                self.node_ordered(inst, c);
             }
+            self.words.push(CLOSE);
         }
+    }
+
+    /// The children of `node` in canonical order: sorted by canonical
+    /// subtree encoding, ties broken by node id (what
+    /// [`Instance::canonicalize`] rebuilds in).
+    pub(crate) fn canonical_child_order(
+        &mut self,
+        inst: &Instance,
+        node: InstNodeId,
+    ) -> Vec<InstNodeId> {
+        self.words.clear();
+        let kids = inst.children(node);
+        let mut at = Vec::with_capacity(kids.len());
+        for &c in kids {
+            let from = self.words.len();
+            self.node(inst, c);
+            at.push((from, self.words.len(), c));
+        }
+        let words = &self.words;
+        at.sort_unstable_by(|a, b| words[a.0..a.1].cmp(&words[b.0..b.1]).then(a.2.cmp(&b.2)));
+        at.into_iter().map(|(_, _, c)| c).collect()
     }
 }
 
-pub(crate) fn encode_node(inst: &Instance, node: InstNodeId, out: &mut Vec<u32>) {
-    out.push(inst.schema_node(node).index() as u32);
-    if !inst.is_leaf(node) {
-        out.push(OPEN);
-        encode_children(inst, node, out);
-        out.push(CLOSE);
-    }
-}
-
-/// Like [`encode_node`] but preserving child order (no sibling sort):
-/// the *ordered-tree* encoding, which distinguishes sibling permutations.
-fn encode_node_ordered(inst: &Instance, node: InstNodeId, out: &mut Vec<u32>) {
-    out.push(inst.schema_node(node).index() as u32);
-    if !inst.is_leaf(node) {
-        out.push(OPEN);
-        for &c in inst.children(node) {
-            encode_node_ordered(inst, c, out);
-        }
-        out.push(CLOSE);
+/// Encode into fresh scratch sized for `inst` and keep its words.
+fn owned_key(inst: &Instance, encode: impl FnOnce(&mut KeyScratch) -> u64) -> CanonKey {
+    let mut scratch = KeyScratch {
+        words: Vec::with_capacity(2 * inst.live_count()),
+        ..KeyScratch::default()
+    };
+    let hash = encode(&mut scratch);
+    CanonKey {
+        hash,
+        words: scratch.words.into_boxed_slice(),
     }
 }
 
@@ -167,13 +258,16 @@ impl Instance {
     /// encoding). Two instances of the same schema are isomorphic iff
     /// their keys are equal; the empty instance has an empty encoding.
     pub fn canon_key(&self) -> CanonKey {
-        let mut words = Vec::with_capacity(2 * self.live_count());
-        encode_children(self, InstNodeId::ROOT, &mut words);
-        let hash = fnv1a(&words);
-        CanonKey {
-            hash,
-            words: words.into_boxed_slice(),
-        }
+        owned_key(self, |s| self.canon_key_into(s))
+    }
+
+    /// [`Instance::canon_key`] into caller-owned scratch: returns the
+    /// fingerprint and leaves the words in `scratch.words()`. Allocates
+    /// only while the scratch buffers grow.
+    pub fn canon_key_into(&self, scratch: &mut KeyScratch) -> u64 {
+        scratch.words.clear();
+        scratch.children(self, InstNodeId::ROOT);
+        fnv1a(&scratch.words)
     }
 
     /// The *ordered-tree* key: like [`Instance::canon_key`] but children
@@ -182,15 +276,17 @@ impl Instance {
     /// solver's plain exploration mode dedups on — two instances share an
     /// ordered key iff they are equal as ordered labelled trees.
     pub fn ordered_key(&self) -> CanonKey {
-        let mut words = Vec::with_capacity(2 * self.live_count());
+        owned_key(self, |s| self.ordered_key_into(s))
+    }
+
+    /// [`Instance::ordered_key`] into caller-owned scratch (see
+    /// [`Instance::canon_key_into`]).
+    pub fn ordered_key_into(&self, scratch: &mut KeyScratch) -> u64 {
+        scratch.words.clear();
         for &c in self.children(InstNodeId::ROOT) {
-            encode_node_ordered(self, c, &mut words);
+            scratch.node_ordered(self, c);
         }
-        let hash = fnv1a(&words);
-        CanonKey {
-            hash,
-            words: words.into_boxed_slice(),
-        }
+        fnv1a(&scratch.words)
     }
 }
 
@@ -325,6 +421,55 @@ mod tests {
                     texts[j],
                 );
             }
+        }
+    }
+
+    /// The explorer kernel's path: successors applied and undone in
+    /// place, keyed into reused scratch, match the allocating keys of
+    /// cloned successors, and every undo restores the instance.
+    #[test]
+    fn scratch_keys_of_in_place_successors() {
+        use crate::guarded::Update;
+        let s = leave_schema();
+        let mut inst = Instance::parse(s.clone(), "a(p(b, e), p(b), n), s, d(r(r), a), s").unwrap();
+        let before = (inst.to_text(), inst.slot_count(), inst.live_count());
+        let mut updates = Vec::new();
+        for n in inst.live_nodes() {
+            for &edge in s.children(inst.schema_node(n)) {
+                updates.push(Update::Add { parent: n, edge });
+            }
+            if n != InstNodeId::ROOT && inst.is_leaf(n) {
+                updates.push(Update::Del { node: n });
+            }
+        }
+        let mut scratch = KeyScratch::default();
+        for u in updates {
+            let mut cloned = inst.clone();
+            match u {
+                Update::Add { parent, edge } => cloned.add_child(parent, edge).map(|_| ()),
+                Update::Del { node } => cloned.remove_leaf(node),
+            }
+            .unwrap();
+            let undo = inst.apply_in_place(&u).unwrap();
+            let key = cloned.canon_key();
+            let fp = inst.canon_key_into(&mut scratch);
+            assert_eq!(
+                (fp, scratch.words()),
+                (key.fingerprint(), key.words()),
+                "{u}"
+            );
+            let key = cloned.ordered_key();
+            let fp = inst.ordered_key_into(&mut scratch);
+            assert_eq!(
+                (fp, scratch.words()),
+                (key.fingerprint(), key.words()),
+                "{u}"
+            );
+            inst.undo(undo);
+            assert_eq!(
+                (inst.to_text(), inst.slot_count(), inst.live_count()),
+                before
+            );
         }
     }
 

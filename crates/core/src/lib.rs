@@ -36,6 +36,7 @@ pub mod deps;
 pub mod error;
 pub mod formula;
 pub mod fragment;
+pub mod guard;
 pub mod guarded;
 pub mod instance;
 pub mod intern;
@@ -48,9 +49,10 @@ pub use deps::{EnablementGraph, GuardDeps, RuleId};
 pub use error::CoreError;
 pub use formula::{Formula, PathExpr};
 pub use fragment::{DepthClass, Fragment, Polarity};
+pub use guard::Guard;
 pub use guarded::{AccessRules, GuardedForm, Right, Run, Update};
-pub use instance::{InstNodeId, Instance};
-pub use intern::{CanonKey, Interner, IsoCode};
+pub use instance::{InstNodeId, Instance, Undo};
+pub use intern::{CanonKey, Interner, IsoCode, KeyScratch};
 pub use schema::{Schema, SchemaBuilder, SchemaNodeId};
 
 /// The reserved label of every schema (and instance) root, Def. 3.1.

@@ -149,6 +149,9 @@ impl Schema {
     /// assert_eq!(s.depth(), 3);
     /// assert_eq!(s.resolve("a/p/b").is_ok(), true);
     /// ```
+    ///
+    /// Nesting deeper than [`MAX_SCHEMA_DEPTH`] is a parse error (the
+    /// parser and every walk over the tree recurse once per level).
     pub fn parse(text: &str) -> Result<Schema> {
         let mut b = SchemaBuilder::new();
         let bytes = text.as_bytes();
@@ -241,6 +244,11 @@ pub(crate) fn is_label_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'\'' || b == b'-' || b == b'+'
 }
 
+/// The deepest schema [`Schema::parse`] accepts, in levels below the
+/// root. Instances of a schema nest no deeper than it, so this also caps
+/// [`crate::Instance::parse`].
+pub const MAX_SCHEMA_DEPTH: u32 = 256;
+
 fn parse_children(
     bytes: &[u8],
     pos: &mut usize,
@@ -252,6 +260,12 @@ fn parse_children(
         let id = b.child(parent, &label)?;
         skip_ws(bytes, pos);
         if *pos < bytes.len() && bytes[*pos] == b'(' {
+            if b.nodes[id.index()].depth >= MAX_SCHEMA_DEPTH {
+                return Err(CoreError::Parse {
+                    pos: *pos,
+                    msg: format!("schema nests deeper than {MAX_SCHEMA_DEPTH} levels"),
+                });
+            }
             *pos += 1;
             parse_children(bytes, pos, id, b)?;
             skip_ws(bytes, pos);
@@ -446,6 +460,18 @@ mod tests {
         let r = s.render();
         for l in ["a", "n", "p", "b", "e", "s"] {
             assert!(r.contains(l), "missing {l} in\n{r}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest =
+            |levels: usize| format!("{}x{}", "x(".repeat(levels - 1), ")".repeat(levels - 1));
+        let s = Schema::parse(&nest(MAX_SCHEMA_DEPTH as usize)).unwrap();
+        assert_eq!(s.depth(), MAX_SCHEMA_DEPTH);
+        for levels in [MAX_SCHEMA_DEPTH as usize + 1, 100_000] {
+            let err = Schema::parse(&nest(levels)).unwrap_err();
+            assert!(err.to_string().contains("nests deeper"), "{err}");
         }
     }
 

@@ -51,11 +51,13 @@
 //! this module and in `tests/parallel_differential.rs` pin these
 //! guarantees down.
 
+use crate::kernel::{Kernel, Step};
 use crate::session::{ExpandEvent, ExpansionLog, SessionGraph};
 use crate::spill::{MemoryBudget, SpillReport, SpillStore};
 use crate::store::{StateId, StateStore, SuccessorTable, SymmetryMode};
 use crate::verdict::{LimitKind, SearchStats};
 use idar_core::{GuardedForm, Instance, Update};
+use std::ops::ControlFlow;
 
 /// Resource limits for bounded exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -386,21 +388,18 @@ impl<'a> Explorer<'a> {
             }
         }
 
-        let mut queue: std::collections::VecDeque<StateId> = std::collections::VecDeque::new();
-        queue.push_back(root);
+        let mut kernel = Kernel::new(self.form, &self.limits, self.symmetry);
+        let mut queue = std::collections::VecDeque::from([root]);
         let mut pruned = false;
 
         while let Some(i) = queue.pop_front() {
             if store.depth(i) >= self.limits.max_depth {
                 // Queue depths are non-decreasing, so every state still
                 // queued is also at the depth limit: the search is
-                // exhaustive iff none of them has a successor. `any`
-                // short-circuits on the first successor found — the old
-                // probe re-ran `allowed_updates` over the entire
-                // unexpanded frontier unconditionally.
+                // exhaustive iff none of them has a successor.
                 if std::iter::once(i)
                     .chain(queue.drain(..))
-                    .any(|j| has_successor(self.form, store.get(j)))
+                    .any(|j| self.form.has_allowed_update(store.get(j)))
                 {
                     pruned = true;
                     stats.limit_hit = Some(LimitKind::Depth);
@@ -410,34 +409,22 @@ impl<'a> Explorer<'a> {
             if let Some(log) = log.as_deref_mut() {
                 log.begin(i);
             }
-            let updates = self.form.allowed_updates(store.get(i));
-            for u in updates {
+            kernel.load(store.get(i));
+            let flow = kernel.expand(|u, step| {
                 stats.transitions += 1;
-                if let Update::Add { parent, edge } = u {
-                    if store.get(i).live_count() >= self.limits.max_state_size {
+                let next = match step {
+                    Step::Pruned(kind) => {
                         pruned = true;
-                        stats.limit_hit = Some(LimitKind::StateSize);
+                        stats.limit_hit = Some(kind);
                         if let Some(log) = log.as_deref_mut() {
-                            log.push(i, ExpandEvent::Pruned(LimitKind::StateSize));
+                            log.push(i, ExpandEvent::Pruned(kind));
                         }
-                        continue;
+                        return ControlFlow::Continue(());
                     }
-                    if let Some(cap) = self.limits.multiplicity_cap {
-                        if store.get(i).children_at(parent, edge).count() >= cap {
-                            pruned = true;
-                            stats.limit_hit = Some(LimitKind::Multiplicity);
-                            if let Some(log) = log.as_deref_mut() {
-                                log.push(i, ExpandEvent::Pruned(LimitKind::Multiplicity));
-                            }
-                            continue;
-                        }
-                    }
-                }
-                let mut next = store.get(i).clone();
-                self.form
-                    .apply_unchecked(&mut next, &u)
-                    .expect("allowed updates apply");
-                let (j, is_new) = store.intern(next, Some((i, u)));
+                    Step::Next(next) => next,
+                };
+                let (j, is_new) =
+                    store.intern_ref(next.fingerprint, next.words, next.inst, Some((i, u)));
                 if want_edges {
                     triples.push((i, u, j));
                 }
@@ -445,21 +432,21 @@ impl<'a> Explorer<'a> {
                     log.push(i, ExpandEvent::Edge(u, j));
                 }
                 if !is_new {
-                    continue;
+                    return ControlFlow::Continue(());
                 }
                 stats.states += 1;
-
-                if let Some(goal) = goal.as_deref_mut() {
-                    if goal(store.get(j)) {
-                        return finish(store, triples, stats, Some(j));
-                    }
+                if goal.as_deref_mut().is_some_and(|g| g(next.inst)) {
+                    return ControlFlow::Break(Some(j));
                 }
-
                 if stats.states >= self.limits.max_states {
                     stats.limit_hit = Some(LimitKind::States);
-                    return finish(store, triples, stats, None);
+                    return ControlFlow::Break(None);
                 }
                 queue.push_back(j);
+                ControlFlow::Continue(())
+            });
+            if let ControlFlow::Break(found) = flow {
+                return finish(store, triples, stats, found);
             }
             if let Some(log) = log.as_deref_mut() {
                 log.seal(i);
@@ -488,11 +475,11 @@ impl<'a> Explorer<'a> {
         frontier_only: bool,
     ) -> (ExploreOutcome, SpillReport) {
         let mut stats = SearchStats::default();
-        let mut store = SpillStore::new(self.symmetry, self.memory, frontier_only);
+        let mut store = SpillStore::new(self.memory, frontier_only);
 
         let initial = self.form.initial().clone();
-        let key = store.key_of(&initial);
-        let (root, _) = store.intern(key, None, 0);
+        let key = self.symmetry.key_of(&initial);
+        let (root, _) = store.intern(key.fingerprint(), key.words(), None, 0);
         debug_assert_eq!(root, 0);
         stats.states = 1;
 
@@ -508,9 +495,8 @@ impl<'a> Explorer<'a> {
             }
         }
 
-        let mut queue: std::collections::VecDeque<(u32, usize, Instance)> =
-            std::collections::VecDeque::new();
-        queue.push_back((root, 0, initial));
+        let mut kernel = Kernel::new(self.form, &self.limits, self.symmetry);
+        let mut queue = std::collections::VecDeque::from([(root, 0usize, initial)]);
         let mut cur_depth = 0usize;
         let mut pruned = false;
 
@@ -522,59 +508,43 @@ impl<'a> Explorer<'a> {
             if d >= self.limits.max_depth {
                 if std::iter::once(inst)
                     .chain(queue.drain(..).map(|(_, _, s)| s))
-                    .any(|s| has_successor(self.form, &s))
+                    .any(|s| self.form.has_allowed_update(&s))
                 {
                     pruned = true;
                     stats.limit_hit = Some(LimitKind::Depth);
                 }
                 break;
             }
-            let updates = self.form.allowed_updates(&inst);
-            for u in updates {
+            kernel.load(&inst);
+            let flow = kernel.expand(|u, step| {
                 stats.transitions += 1;
-                if let Update::Add { parent, edge } = u {
-                    if inst.live_count() >= self.limits.max_state_size {
+                let next = match step {
+                    Step::Pruned(kind) => {
                         pruned = true;
-                        stats.limit_hit = Some(LimitKind::StateSize);
-                        continue;
+                        stats.limit_hit = Some(kind);
+                        return ControlFlow::Continue(());
                     }
-                    if let Some(cap) = self.limits.multiplicity_cap {
-                        if inst.children_at(parent, edge).count() >= cap {
-                            pruned = true;
-                            stats.limit_hit = Some(LimitKind::Multiplicity);
-                            continue;
-                        }
-                    }
-                }
-                let mut next = inst.clone();
-                self.form
-                    .apply_unchecked(&mut next, &u)
-                    .expect("allowed updates apply");
-                let key = store.key_of(&next);
-                let (j, is_new) = store.intern(key, Some((i, u)), (d + 1) as u32);
+                    Step::Next(next) => next,
+                };
+                let (j, is_new) =
+                    store.intern(next.fingerprint, next.words, Some((i, u)), (d + 1) as u32);
                 if !is_new {
-                    continue;
+                    return ControlFlow::Continue(());
                 }
                 stats.states += 1;
-
-                if let Some(goal) = goal.as_deref_mut() {
-                    if goal(&next) {
-                        let goal_run = store.run_to(j);
-                        return (ExploreOutcome { goal_run, stats }, store.report());
-                    }
+                if goal.as_deref_mut().is_some_and(|g| g(next.inst)) {
+                    return ControlFlow::Break(Some(j));
                 }
-
                 if stats.states >= self.limits.max_states {
                     stats.limit_hit = Some(LimitKind::States);
-                    return (
-                        ExploreOutcome {
-                            goal_run: None,
-                            stats,
-                        },
-                        store.report(),
-                    );
+                    return ControlFlow::Break(None);
                 }
-                queue.push_back((j, d + 1, next));
+                queue.push_back((j, d + 1, next.inst.clone()));
+                ControlFlow::Continue(())
+            });
+            if let ControlFlow::Break(found) = flow {
+                let goal_run = found.and_then(|j| store.run_to(j));
+                return (ExploreOutcome { goal_run, stats }, store.report());
             }
         }
 
@@ -676,7 +646,7 @@ impl<'a> Explorer<'a> {
         /// (the pool-wide terminal flag).
         fn for_each_claimed(
             work: &LayerWork,
-            mut handle: impl FnMut(&(StateId, Arc<Instance>)) -> std::ops::ControlFlow<()>,
+            mut handle: impl FnMut(&(StateId, Arc<Instance>)) -> ControlFlow<()>,
         ) {
             let n = work.items.len();
             'claim: loop {
@@ -696,37 +666,32 @@ impl<'a> Explorer<'a> {
         /// sequential inner loop exactly (same prune checks, goal
         /// evaluated only on newly discovered states).
         fn expand(ctx: &Ctx, work: &LayerWork, edges: &mut Vec<PendEdge>) -> LayerOut {
-            use std::ops::ControlFlow;
             let mut out = LayerOut::default();
+            let mut kernel = Kernel::new(ctx.form, &ctx.limits, ctx.store.symmetry());
             for_each_claimed(work, |(from, inst)| {
                 if ctx.stop.load(Ordering::Relaxed) {
                     return ControlFlow::Break(());
                 }
-                for u in ctx.form.allowed_updates(inst) {
+                kernel.load(inst);
+                kernel.expand(|u, step| {
                     if ctx.stop.load(Ordering::Relaxed) {
                         return ControlFlow::Break(());
                     }
                     out.transitions += 1;
-                    if let Update::Add { parent, edge } = u {
-                        if inst.live_count() >= ctx.limits.max_state_size {
-                            out.pruned = Some(LimitKind::StateSize);
-                            continue;
+                    let next = match step {
+                        Step::Pruned(kind) => {
+                            out.pruned = Some(kind);
+                            return ControlFlow::Continue(());
                         }
-                        if let Some(cap) = ctx.limits.multiplicity_cap {
-                            if inst.children_at(parent, edge).count() >= cap {
-                                out.pruned = Some(LimitKind::Multiplicity);
-                                continue;
-                            }
-                        }
-                    }
-                    let mut next = (**inst).clone();
-                    ctx.form
-                        .apply_unchecked(&mut next, &u)
-                        .expect("allowed updates apply");
-                    let key = ctx.store.key_of(&next);
-                    let (id, created) =
-                        ctx.store
-                            .intern(key, next, Some((*from, u)), work.depth + 1);
+                        Step::Next(next) => next,
+                    };
+                    let (id, created) = ctx.store.intern(
+                        next.fingerprint,
+                        next.words,
+                        next.inst,
+                        Some((*from, u)),
+                        work.depth + 1,
+                    );
                     if ctx.want_edges {
                         edges.push((*from, u, id));
                     }
@@ -742,8 +707,8 @@ impl<'a> Explorer<'a> {
                             is_goal,
                         });
                     }
-                }
-                ControlFlow::Continue(())
+                    ControlFlow::Continue(())
+                })
             });
             out
         }
@@ -751,13 +716,12 @@ impl<'a> Explorer<'a> {
         /// The depth-limit probe every pool member runs: short-circuit
         /// pool-wide on the first frontier state with a successor.
         fn probe(ctx: &Ctx, work: &LayerWork) -> LayerOut {
-            use std::ops::ControlFlow;
             let mut out = LayerOut::default();
             for_each_claimed(work, |(_, inst)| {
                 if ctx.stop.load(Ordering::Relaxed) {
                     return ControlFlow::Break(());
                 }
-                if has_successor(ctx.form, inst) {
+                if ctx.form.has_allowed_update(inst) {
                     out.probe_found = true;
                     ctx.stop.store(true, Ordering::Relaxed);
                     return ControlFlow::Break(());
@@ -789,7 +753,8 @@ impl<'a> Explorer<'a> {
         let stop = AtomicBool::new(false);
         let states_total = AtomicUsize::new(1); // the root
         let root_key = store.key_of(&initial);
-        let (root_packed, root_arc) = store.intern(root_key, initial, None, 0);
+        let (root_packed, root_arc) =
+            store.intern(root_key.fingerprint(), root_key.words(), &initial, None, 0);
         let root_arc = root_arc.expect("the root interns into the empty store as new");
         stats.states = 1;
 
@@ -984,13 +949,6 @@ impl<'a> Explorer<'a> {
         let store = store.into_store(&locs);
         finish_run(store, triples, stats, goal_state, want_edges)
     }
-}
-
-/// The depth-limit exhaustiveness probe shared by both engines (and by
-/// [`SessionGraph`] resumes): does this unexpanded frontier state still
-/// have any successor?
-pub(crate) fn has_successor(form: &GuardedForm, inst: &Instance) -> bool {
-    !form.allowed_updates(inst).is_empty()
 }
 
 struct RunResult {

@@ -32,6 +32,7 @@ pub mod completability;
 pub mod depth1;
 pub mod explore;
 pub mod invariants;
+mod kernel;
 pub mod np;
 pub mod positive;
 pub mod satengine;

@@ -46,11 +46,13 @@
 //! ([`Verdict::Holds`]/[`Verdict::Fails`], never
 //! [`Verdict::Unknown`]), and a lookup replaces the whole solve.
 
-use crate::explore::{has_successor, ExploreLimits, ExploreOutcome, StateGraph};
+use crate::explore::{ExploreLimits, ExploreOutcome, StateGraph};
+use crate::kernel::{Kernel, Step};
 use crate::store::{StateId, StateStore, SuccessorTable};
 use crate::verdict::{LimitKind, SearchStats, Verdict};
 use idar_core::{GuardedForm, Instance, Update};
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 
 /// One logged outcome of enumerating a single allowed update while
 /// expanding a state: either an edge to the (possibly pre-existing)
@@ -351,9 +353,9 @@ impl SessionGraph {
         let mut depth: HashMap<StateId, usize> = HashMap::new();
         let mut parent: HashMap<StateId, (StateId, Update)> = HashMap::new();
         depth.insert(from, 0);
-        let mut queue: VecDeque<StateId> = VecDeque::new();
-        queue.push_back(from);
+        let mut queue = VecDeque::from([from]);
         let mut pruned = false;
+        let mut kernel = Kernel::new(form, &limits, self.store.symmetry());
 
         while let Some(i) = queue.pop_front() {
             let d = depth[&i];
@@ -362,14 +364,14 @@ impl SessionGraph {
                 // frontier state still has a successor.
                 if std::iter::once(i)
                     .chain(queue.drain(..))
-                    .any(|j| has_successor(form, self.store.get(j)))
+                    .any(|j| form.has_allowed_update(self.store.get(j)))
                 {
                     pruned = true;
                     stats.limit_hit = Some(LimitKind::Depth);
                 }
                 break;
             }
-            let events = self.expansion_of(form, i, limits, replay_ok);
+            let events = self.expansion_of(&mut kernel, i, replay_ok);
             for ev in events {
                 stats.transitions += 1;
                 match ev {
@@ -419,9 +421,8 @@ impl SessionGraph {
     /// limits match the build's, records the completed span.
     fn expansion_of(
         &mut self,
-        form: &GuardedForm,
+        kernel: &mut Kernel,
         i: StateId,
-        limits: ExploreLimits,
         replay_ok: bool,
     ) -> Vec<ExpandEvent> {
         if replay_ok {
@@ -432,25 +433,19 @@ impl SessionGraph {
             }
         }
         let mut events = Vec::new();
-        for u in form.allowed_updates(self.store.get(i)) {
-            if let Update::Add { parent, edge } = u {
-                if self.store.get(i).live_count() >= limits.max_state_size {
-                    events.push(ExpandEvent::Pruned(LimitKind::StateSize));
-                    continue;
+        let store = &mut self.store;
+        kernel.load(store.get(i));
+        let _ = kernel.expand(|u, step| {
+            events.push(match step {
+                Step::Pruned(kind) => ExpandEvent::Pruned(kind),
+                Step::Next(next) => {
+                    let (j, _) =
+                        store.intern_ref(next.fingerprint, next.words, next.inst, Some((i, u)));
+                    ExpandEvent::Edge(u, j)
                 }
-                if let Some(cap) = limits.multiplicity_cap {
-                    if self.store.get(i).children_at(parent, edge).count() >= cap {
-                        events.push(ExpandEvent::Pruned(LimitKind::Multiplicity));
-                        continue;
-                    }
-                }
-            }
-            let mut next = self.store.get(i).clone();
-            form.apply_unchecked(&mut next, &u)
-                .expect("allowed updates apply");
-            let (j, _is_new) = self.store.intern(next, Some((i, u)));
-            events.push(ExpandEvent::Edge(u, j));
-        }
+            });
+            ControlFlow::<()>::Continue(())
+        });
         if replay_ok {
             self.log.begin(i);
             for ev in &events {

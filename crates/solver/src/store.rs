@@ -38,7 +38,8 @@
 //! `(offset, data)` arrays instead of a `Vec<Vec<_>>` of tiny
 //! allocations.
 
-use idar_core::{CanonKey, Instance, Update};
+use idar_core::{CanonKey, Instance, KeyScratch, Update};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Dense identifier of an interned state. Id 0 is always the initial
@@ -74,6 +75,25 @@ pub enum SymmetryMode {
     /// (order-preserving encoding). The ablation baseline; explores the
     /// same verdicts over a strictly larger state space.
     Plain,
+}
+
+impl SymmetryMode {
+    /// Encode the dedup key of `inst` under this mode into `scratch`:
+    /// returns the fingerprint; the words are `scratch.words()`.
+    pub fn encode(self, inst: &Instance, scratch: &mut KeyScratch) -> u64 {
+        match self {
+            SymmetryMode::Reduced => inst.canon_key_into(scratch),
+            SymmetryMode::Plain => inst.ordered_key_into(scratch),
+        }
+    }
+
+    /// The owned dedup key of `inst` under this mode.
+    pub fn key_of(self, inst: &Instance) -> CanonKey {
+        match self {
+            SymmetryMode::Reduced => inst.canon_key(),
+            SymmetryMode::Plain => inst.ordered_key(),
+        }
+    }
 }
 
 impl std::fmt::Display for SymmetryMode {
@@ -186,10 +206,7 @@ impl StateStore {
 
     /// The dedup key of an instance under this store's symmetry mode.
     pub fn key_of(&self, inst: &Instance) -> CanonKey {
-        match self.symmetry {
-            SymmetryMode::Reduced => inst.canon_key(),
-            SymmetryMode::Plain => inst.ordered_key(),
-        }
+        self.symmetry.key_of(inst)
     }
 
     /// Intern `inst`: return its dense id and whether it was new. On a
@@ -200,19 +217,53 @@ impl StateStore {
         self.intern_keyed(key, inst, parent)
     }
 
-    /// [`StateStore::intern`] with the dedup key already computed (the
-    /// explorers compute it once per successor and reuse it).
+    /// [`StateStore::intern`] with the dedup key already computed.
     pub fn intern_keyed(
         &mut self,
         key: CanonKey,
         inst: Instance,
         parent: Option<(StateId, Update)>,
     ) -> (StateId, bool) {
+        let (fingerprint, words) = key.into_parts();
+        self.intern_cow(
+            fingerprint,
+            Cow::Owned(words.into_vec()),
+            Cow::Owned(inst),
+            parent,
+        )
+    }
+
+    /// Intern by a borrowed key `(fingerprint, words)` — what
+    /// [`SymmetryMode::encode`] leaves in a scratch buffer. The words are
+    /// boxed and `inst` cloned only if the state is new; a duplicate
+    /// costs one probe and allocates nothing.
+    pub fn intern_ref(
+        &mut self,
+        fingerprint: u64,
+        words: &[u32],
+        inst: &Instance,
+        parent: Option<(StateId, Update)>,
+    ) -> (StateId, bool) {
+        self.intern_cow(
+            fingerprint,
+            Cow::Borrowed(words),
+            Cow::Borrowed(inst),
+            parent,
+        )
+    }
+
+    fn intern_cow(
+        &mut self,
+        fingerprint: u64,
+        words: Cow<'_, [u32]>,
+        inst: Cow<'_, Instance>,
+        parent: Option<(StateId, Update)>,
+    ) -> (StateId, bool) {
         let id = StateId(self.states.len() as u32);
-        match self.buckets.entry(key.fingerprint()) {
+        match self.buckets.entry(fingerprint) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 for &cand in e.get().ids() {
-                    if *self.keys[cand.index()] == *key.words() {
+                    if *self.keys[cand.index()] == *words {
                         return (cand, false);
                     }
                 }
@@ -227,10 +278,9 @@ impl StateStore {
             Some((p, _)) => self.depths[p.index()] + 1,
             None => 0,
         };
-        let (fingerprint, words) = key.into_parts();
         self.fingerprints.push(fingerprint);
-        self.keys.push(words);
-        self.states.push(inst);
+        self.keys.push(words.into_owned().into_boxed_slice());
+        self.states.push(inst.into_owned());
         self.parents.push(parent);
         self.depths.push(depth);
         (id, true)
@@ -551,10 +601,7 @@ mod sharded {
 
         /// The dedup key of an instance under this store's symmetry mode.
         pub fn key_of(&self, inst: &Instance) -> CanonKey {
-            match self.symmetry {
-                SymmetryMode::Reduced => inst.canon_key(),
-                SymmetryMode::Plain => inst.ordered_key(),
-            }
+            self.symmetry.key_of(inst)
         }
 
         #[inline]
@@ -565,20 +612,21 @@ mod sharded {
             (fingerprint >> 58) as usize % SHARDS
         }
 
-        /// Intern a state under its precomputed dedup key: returns its
-        /// packed id and, iff this call created the state, a shared
-        /// handle to the stored instance (what the discovering worker
-        /// puts on the next frontier). Exactly one concurrent caller
-        /// wins the discovery for each distinct class; losers get the
-        /// winner's id and `None`.
+        /// Intern a state by its borrowed dedup key `(fingerprint,
+        /// words)`: returns its packed id and, iff this call created the
+        /// state, a shared handle to the stored instance (what the
+        /// discovering worker puts on the next frontier). Exactly one
+        /// concurrent caller wins the discovery for each distinct class;
+        /// losers get the winner's id and `None`. Only the winner boxes
+        /// the words and clones `inst`.
         pub fn intern(
             &self,
-            key: CanonKey,
-            inst: Instance,
+            fp: u64,
+            words: &[u32],
+            inst: &Instance,
             parent: Option<(StateId, Update)>,
             depth: u32,
         ) -> (PackedStateId, Option<Arc<Instance>>) {
-            let fp = key.fingerprint();
             let shard_ix = self.shard_of(fp);
             let mut shard = self.shards[shard_ix].lock().expect("store shard poisoned");
             let shard = &mut *shard;
@@ -586,7 +634,7 @@ mod sharded {
             match shard.buckets.entry(fp) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     for &cand in e.get().ids() {
-                        if *shard.keys[cand as usize] == *key.words() {
+                        if *shard.keys[cand as usize] == *words {
                             return (PackedStateId::new(shard_ix, cand as usize), None);
                         }
                     }
@@ -598,10 +646,9 @@ mod sharded {
                 }
             }
             let id = PackedStateId::new(shard_ix, local);
-            let (fingerprint, words) = key.into_parts();
-            let arc = Arc::new(inst);
-            shard.fingerprints.push(fingerprint);
-            shard.keys.push(words);
+            let arc = Arc::new(inst.clone());
+            shard.fingerprints.push(fp);
+            shard.keys.push(words.into());
             shard.states.push(arc.clone());
             shard.parents.push(parent);
             shard.depths.push(depth);
@@ -768,7 +815,8 @@ mod tests {
             .map(|t| Instance::parse(s.clone(), t).unwrap())
             .collect();
         let root = Instance::empty(s.clone());
-        let (root_id, created) = store.intern(store.key_of(&root), root, None, 0);
+        let key = store.key_of(&root);
+        let (root_id, created) = store.intern(key.fingerprint(), key.words(), &root, None, 0);
         assert!(created.is_some());
 
         let results: Vec<(Vec<PackedStateId>, usize)> = std::thread::scope(|scope| {
@@ -781,9 +829,11 @@ mod tests {
                         let ids = insts
                             .iter()
                             .map(|i| {
+                                let key = store.key_of(i);
                                 let (id, new) = store.intern(
-                                    store.key_of(i),
-                                    i.clone(),
+                                    key.fingerprint(),
+                                    key.words(),
+                                    i,
                                     Some((
                                         StateId(0),
                                         Update::Del {
@@ -838,8 +888,9 @@ mod tests {
         let store = ShardedStateStore::new(SymmetryMode::Plain);
         let a = Instance::parse(s.clone(), "a(b, c), s").unwrap();
         let b = Instance::parse(s.clone(), "s, a(c, b)").unwrap();
-        let (ia, na) = store.intern(store.key_of(&a), a.clone(), None, 0);
-        let (_, nb) = store.intern(store.key_of(&b), b.clone(), None, 0);
+        let (ka, kb) = (store.key_of(&a), store.key_of(&b));
+        let (ia, na) = store.intern(ka.fingerprint(), ka.words(), &a, None, 0);
+        let (_, nb) = store.intern(kb.fingerprint(), kb.words(), &b, None, 0);
         assert!(na.is_some() && nb.is_some(), "plain mode keeps both orders");
         let flat = store.into_store(&[ia]);
         assert_eq!(flat.len(), 1);
