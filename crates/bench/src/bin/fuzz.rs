@@ -1,13 +1,8 @@
 //! Differential fuzzer over seed-generated guarded forms.
 //!
 //! Per case, a form is generated by `idar-gen` inside one of the paper's
-//! fragments and cross-checked along eight axes:
+//! fragments and cross-checked along seven axes:
 //!
-//! * **(a) engines** — the pooled parallel frontier explorer (persistent
-//!   worker pool + fingerprint-sharded store) against the sequential BFS
-//!   engine: state counts, closedness, transition counts,
-//!   isomorphism-code sets, depth multisets, goal agreement, and a
-//!   depth-limited run exercising the pooled exhaustiveness probe;
 //! * **(e) symmetry** — symmetry-reduced exploration (canonical
 //!   isomorphism quotient, the default) against plain ordered-tree
 //!   exploration: the reduced space can never exceed the plain one, and
@@ -17,7 +12,7 @@
 //!   every analysis kind, plus hit provenance on the repeat;
 //! * **(h) capacity** — the out-of-core capacity engine (delta-encoded
 //!   state records under a 4 KiB spill budget, see `idar_solver::spill`)
-//!   against the in-RAM sequential goal search: identical `SearchStats`,
+//!   against the in-RAM goal search: identical `SearchStats`,
 //!   goal existence and BFS goal depth, and the spilled witness run must
 //!   replay; deletion-free forms additionally run in frontier-only mode,
 //!   which must reproduce the same stats with zero retained record bytes;
@@ -53,8 +48,9 @@
 //!   duty guard; witness runs and enumerated complete runs are
 //!   re-checked by the trace-level duty checker; the built form must be
 //!   admitted by its declared fragment. Scenario forms additionally run
-//!   through the engine/symmetry/cache/workflow axes above, so approval
-//!   chains exercise every analysis kind seq-vs-par and cached-vs-cold;
+//!   through the capacity/symmetry/cache/workflow/static axes above, so
+//!   approval chains exercise every analysis kind in-RAM-vs-spilled and
+//!   cached-vs-cold;
 //! * **(g, incremental) incremental-vs-cold** — a random edit sequence
 //!   driven through two `FormManager`s on the same form, one answering
 //!   from its retained `SessionGraph` (graph hits + frontier
@@ -78,7 +74,7 @@
 //! cargo run --release -p idar-bench --bin fuzz -- --seed 0xC0FFEE --cases 200
 //! cargo run --release -p idar-bench --bin fuzz -- --seed 0xC0FFEE --engine dpll
 //! cargo run --release -p idar-bench --bin fuzz -- --fragment none --scenario sod --cases 200
-//! cargo run --release -p idar-bench --bin fuzz -- --replay fuzz-failures/guarded-case17-engines-....ron
+//! cargo run --release -p idar-bench --bin fuzz -- --replay fuzz-failures/guarded-case17-capacity-....ron
 //! ```
 
 use idar_core::serialize;
@@ -89,7 +85,6 @@ use idar_gen::{
 };
 use idar_logic::gen::{random_3cnf_with, split_mix, Rng, XorShift};
 use idar_logic::Engine;
-use idar_solver::explore::StateGraph;
 use idar_solver::semisound::{semisoundness, SemisoundnessOptions};
 use idar_solver::{
     completability, CompletabilityOptions, ExploreLimits, Explorer, Method, Verdict, VerdictCache,
@@ -231,10 +226,6 @@ fn main() -> ExitCode {
                 };
                 report_failure(&opts, &ctx, &err, shrunk);
             };
-            if let Err(e) = check_engines(&form) {
-                let shrunk = idar_gen::shrink(&form, |f| check_engines(f).is_err());
-                fail("engines", e, Some(shrunk));
-            }
             if let Err(e) = check_capacity(&form) {
                 let shrunk = idar_gen::shrink(&form, |f| check_capacity(f).is_err());
                 fail("capacity", e, Some(shrunk));
@@ -325,17 +316,6 @@ fn main() -> ExitCode {
                 );
             }
             let form = &scenario.form;
-            if let Err(e) = {
-                let t0 = std::time::Instant::now();
-                let r = check_engines(form);
-                if opts.verbose {
-                    println!("  engines: {:?}", t0.elapsed());
-                }
-                r
-            } {
-                let shrunk = idar_gen::shrink(form, |f| check_engines(f).is_err());
-                fail("engines", e, None, Some(shrunk));
-            }
             if let Err(e) = {
                 let t0 = std::time::Instant::now();
                 let r = check_capacity(form);
@@ -449,7 +429,6 @@ fn replay(path: &Path) -> ExitCode {
     };
     let mut bad = false;
     for (name, result) in [
-        ("engines", check_engines(&form)),
         ("capacity", check_capacity(&form)),
         ("symmetry", check_symmetry(&form)),
         ("cache", check_cache(&form)),
@@ -537,137 +516,10 @@ fn report_failure(opts: &Options, ctx: &CaseCtx, err: &str, shrunk: Option<Guard
 }
 
 // ---------------------------------------------------------------------------
-// (a) engine differential
-// ---------------------------------------------------------------------------
-
-fn sorted_codes(g: &StateGraph) -> Vec<String> {
-    let mut v: Vec<String> = g.states().iter().map(|s| s.iso_code()).collect();
-    v.sort_unstable();
-    v
-}
-
-fn check_engines(form: &GuardedForm) -> Result<(), String> {
-    let limits = fuzz_limits();
-    let seq = Explorer::new(form, limits).with_threads(1).graph();
-    let par = Explorer::new(form, limits).with_threads(4).graph();
-
-    if seq.state_count() != par.state_count() {
-        return Err(format!(
-            "state counts differ: seq {} vs par {}",
-            seq.state_count(),
-            par.state_count()
-        ));
-    }
-    if seq.stats.closed != par.stats.closed {
-        return Err(format!(
-            "closed flags differ: seq {} vs par {}",
-            seq.stats.closed, par.stats.closed
-        ));
-    }
-    if seq.stats.closed {
-        if seq.stats.transitions != par.stats.transitions {
-            return Err(format!(
-                "transition counts differ on closed space: seq {} vs par {}",
-                seq.stats.transitions, par.stats.transitions
-            ));
-        }
-        if sorted_codes(&seq) != sorted_codes(&par) {
-            return Err("state sets differ on closed space".into());
-        }
-        let mut sd: Vec<usize> = (0..seq.state_count()).map(|i| seq.depth_of(i)).collect();
-        let mut pd: Vec<usize> = (0..par.state_count()).map(|i| par.depth_of(i)).collect();
-        sd.sort_unstable();
-        pd.sort_unstable();
-        if sd != pd {
-            return Err("depth multisets differ on closed space".into());
-        }
-        let seq_edges = seq.edge_count();
-        let par_edges = par.edge_count();
-        if seq_edges != par_edges {
-            return Err(format!(
-                "edge counts differ on closed space: seq {seq_edges} vs par {par_edges}"
-            ));
-        }
-    }
-
-    // Depth-limited runs exercise the engines' shared exhaustiveness
-    // probe (the short-circuiting "does any frontier state still have a
-    // successor?" check): prefix layers are fully expanded by both
-    // engines, so counts and closedness must agree exactly. Limit
-    // *kinds* are last-writer and scheduling-dependent when several
-    // limits fire, so only presence is compared.
-    let shallow = ExploreLimits {
-        max_depth: 3,
-        ..limits
-    };
-    let seq_d = Explorer::new(form, shallow).with_threads(1).graph();
-    let par_d = Explorer::new(form, shallow).with_threads(4).graph();
-    if seq_d.state_count() != par_d.state_count() {
-        return Err(format!(
-            "depth-limited state counts differ: seq {} vs par {}",
-            seq_d.state_count(),
-            par_d.state_count()
-        ));
-    }
-    if seq_d.stats.closed != par_d.stats.closed {
-        return Err(format!(
-            "depth-limited closed flags differ: seq {} vs par {}",
-            seq_d.stats.closed, par_d.stats.closed
-        ));
-    }
-    if seq_d.stats.limit_hit.is_some() != par_d.stats.limit_hit.is_some() {
-        return Err(format!(
-            "depth-limited limit presence differs: seq {:?} vs par {:?}",
-            seq_d.stats.limit_hit, par_d.stats.limit_hit
-        ));
-    }
-
-    // Goal search: engines must agree when neither hit a limit.
-    let seq_f = Explorer::new(form, limits)
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
-    let par_f = Explorer::new(form, limits)
-        .with_threads(4)
-        .find(|i| form.is_complete(i));
-    if seq_f.stats.limit_hit.is_none() && par_f.stats.limit_hit.is_none() {
-        match (&seq_f.goal_run, &par_f.goal_run) {
-            (Some(a), Some(b)) => {
-                if a.len() != b.len() {
-                    return Err(format!(
-                        "goal depths differ: seq {} vs par {}",
-                        a.len(),
-                        b.len()
-                    ));
-                }
-            }
-            (None, None) => {}
-            (s, p) => {
-                return Err(format!(
-                    "goal existence differs: seq {} vs par {}",
-                    s.is_some(),
-                    p.is_some()
-                ));
-            }
-        }
-    }
-    for (engine, run) in [("seq", &seq_f.goal_run), ("par", &par_f.goal_run)] {
-        if let Some(r) = run {
-            if !form.is_complete_run(r) {
-                return Err(format!(
-                    "{engine} goal run does not replay to a complete state"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // (h) capacity differential: budgeted spill vs in-RAM search
 // ---------------------------------------------------------------------------
 
-/// The out-of-core capacity engine against the sequential in-RAM
-/// engine. A 4 KiB arena budget forces page spills at fuzz sizes; the
+/// The out-of-core capacity engine against the in-RAM engine. A 4 KiB arena budget forces page spills at fuzz sizes; the
 /// budgeted search must nevertheless visit exactly the same states
 /// (`SearchStats` compares field-for-field), agree on goal existence
 /// and BFS goal depth, and its witness run must replay. Deletion-free
@@ -676,9 +528,7 @@ fn check_engines(form: &GuardedForm) -> Result<(), String> {
 fn check_capacity(form: &GuardedForm) -> Result<(), String> {
     use idar_solver::MemoryBudget;
     let limits = fuzz_limits();
-    let ram = Explorer::new(form, limits)
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
+    let ram = Explorer::new(form, limits).find(|i| form.is_complete(i));
     let (spilled, report) = Explorer::new(form, limits)
         .with_memory_budget(MemoryBudget::bytes(4 * 1024))
         .find_spilled(|i| form.is_complete(i));
@@ -742,9 +592,8 @@ fn check_capacity(form: &GuardedForm) -> Result<(), String> {
 fn check_symmetry(form: &GuardedForm) -> Result<(), String> {
     use idar_solver::SymmetryMode;
     let limits = fuzz_limits();
-    let reduced = Explorer::new(form, limits).with_threads(1).graph();
+    let reduced = Explorer::new(form, limits).graph();
     let plain = Explorer::new(form, limits)
-        .with_threads(1)
         .with_symmetry(SymmetryMode::Plain)
         .graph();
 
@@ -776,11 +625,8 @@ fn check_symmetry(form: &GuardedForm) -> Result<(), String> {
 
     // Goal search: when neither run hit a limit, existence and BFS depth
     // agree, and plain-mode runs replay.
-    let rf = Explorer::new(form, limits)
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
+    let rf = Explorer::new(form, limits).find(|i| form.is_complete(i));
     let pf = Explorer::new(form, limits)
-        .with_threads(1)
         .with_symmetry(SymmetryMode::Plain)
         .find(|i| form.is_complete(i));
     if rf.stats.limit_hit.is_none() && pf.stats.limit_hit.is_none() {

@@ -7,9 +7,10 @@
 //! tenants over a bounded worker pool. Three disciplines carry over from
 //! the batch layers:
 //!
-//! * **one thread budget** — workers and their inner explorer threads
-//!   split a single budget via `split_threads`, so concurrent requests
-//!   never oversubscribe the host;
+//! * **one thread budget** — `split_threads` sizes the worker pool, and
+//!   each request's analysis runs on its worker's thread (explorations
+//!   are sequential; the per-request grant is only reported), so
+//!   concurrent requests never oversubscribe the host;
 //! * **one verdict cache** — process-wide and keyed by rules signature,
 //!   so tenants running identical rule sets share entries (a popular
 //!   form is analyzed once, served many times);

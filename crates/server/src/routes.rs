@@ -185,9 +185,9 @@ fn open_session(shared: &Shared, req: &Request) -> Response {
         Ok(f) => f,
         Err(resp) => return resp,
     };
-    // Every session shares the process-wide cache and is granted the
+    // Every session shares the process-wide cache and records the
     // worker's split_threads share — the same two disciplines the batch
-    // analyzer established (shared verdicts, no oversubscription).
+    // analyzer established.
     let mut manager = FormManager::new(form, shared.config.budget.clone(), shared.config.policy)
         .with_cache(Arc::clone(&shared.cache))
         .with_threads(shared.inner_threads)

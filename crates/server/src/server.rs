@@ -7,7 +7,7 @@
 //!   accept ──► admission (bounded queue) ──full──► 429 + Retry-After
 //!      │
 //!      ▼ admitted
-//!   worker pool (split_threads share of the thread budget)
+//!   worker pool (split_threads pool share of the thread budget)
 //!      │  parse ── bad ──► 4xx
 //!      ▼
 //!   dispatch (routes): tenant ► session ► analyze (Budget-bounded)
@@ -46,14 +46,17 @@ use std::time::Duration;
 /// PR-4 pipeline consumer uses for interactive vetting.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Total thread budget shared by HTTP workers and their inner
-    /// explorer threads (split with [`split_threads`], exactly like the
-    /// batch analyzer). Defaults to `default_threads().max(2)` — even a
-    /// 1-core host wants two workers, since they are mostly I/O-bound.
+    /// Total thread budget, split with [`split_threads`] exactly like the
+    /// batch analyzer: the pool share sizes the HTTP workers, the inner
+    /// share is the grant each request's analysis reports (no grant
+    /// parallelises a single exploration). Defaults to
+    /// `default_threads().max(2)` — even a 1-core host wants two
+    /// workers, since they are mostly I/O-bound.
     pub threads: usize,
     /// Target concurrent requests (the `jobs` argument of
     /// [`split_threads`]); the pool gets `min(threads, concurrency)`
-    /// workers and each request's analysis gets the remaining share.
+    /// workers and each request's analysis is granted the remaining
+    /// share.
     pub concurrency: usize,
     /// Admitted-but-unclaimed connections beyond this are shed with 429.
     pub queue_capacity: usize,
@@ -116,8 +119,8 @@ pub(crate) struct Shared {
     pub tenants: Tenants,
     pub cache: Arc<VerdictCache>,
     pub metrics: Metrics,
-    /// Explorer threads granted to each request's analysis (the
-    /// `split_threads` inner share).
+    /// The thread grant each request's analysis reports (the
+    /// `split_threads` inner share; accounting only).
     pub inner_threads: usize,
 }
 
@@ -201,8 +204,9 @@ impl ServerHandle {
         &self.shared.cache
     }
 
-    /// The per-request explorer-thread grant (the `split_threads` inner
-    /// share), exposed for tests.
+    /// The per-request thread grant (the `split_threads` inner share),
+    /// exposed for tests. Accounting only: no grant parallelises a
+    /// single exploration.
     pub fn inner_threads(&self) -> usize {
         self.shared.inner_threads
     }

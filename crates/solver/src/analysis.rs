@@ -150,8 +150,9 @@ pub struct AnalysisRequest {
     pub kind: AnalysisKind,
     /// The resource budget (also the cache key's limit component).
     pub budget: Budget,
-    /// Worker threads for the explicit-state engines (`None`: the
-    /// [`default_threads`](crate::explore::default_threads) count).
+    /// The thread grant recorded in [`AnalysisReport::threads`] (`None`:
+    /// the [`default_threads`](crate::explore::default_threads) count).
+    /// Accounting only: no grant parallelises a single exploration.
     pub threads: Option<usize>,
 }
 
@@ -187,7 +188,7 @@ impl AnalysisRequest {
         self
     }
 
-    /// Pin the worker-thread count.
+    /// Pin the recorded thread grant (see [`AnalysisRequest::threads`]).
     pub fn with_threads(mut self, threads: usize) -> AnalysisRequest {
         self.threads = Some(threads.max(1));
         self
@@ -238,11 +239,11 @@ pub struct AnalysisReport {
     pub stats: SearchStats,
     /// Cache provenance of this report.
     pub cache: CacheProvenance,
-    /// Worker threads the explicit-state engines were granted for this
-    /// request ([`AnalysisRequest::threads`], defaulted). Thread counts
-    /// are *accounting*, not budget: they never affect the verdict, but
-    /// layered callers (e.g. [`crate::batch::BatchAnalyzer`]) rely on the
-    /// grant to keep total concurrency within one configured budget.
+    /// The thread grant of this request ([`AnalysisRequest::threads`],
+    /// defaulted): the share of an across-forms pool's budget that
+    /// layered callers (e.g. [`crate::batch::BatchAnalyzer`]) assigned
+    /// to it. Accounting only — every exploration is sequential and the
+    /// grant never affects the verdict or the stats.
     pub threads: usize,
     /// Counters from the static screener's pass over this request:
     /// `Some` whenever the screener ran (cold completability or
@@ -323,8 +324,7 @@ pub fn analyze_keyed(
     report
 }
 
-/// The worker-thread count a request resolves to (its pin, or the
-/// explorer default).
+/// The thread grant a request resolves to (its pin, or the default).
 fn granted_threads(request: &AnalysisRequest) -> usize {
     request
         .threads
@@ -383,8 +383,7 @@ fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
     let form = pruned.as_ref().unwrap_or(&request.form);
     match request.kind {
         AnalysisKind::Completability => {
-            let r =
-                crate::completability::run_completability(form, &request.budget, request.threads);
+            let r = crate::completability::run_completability(form, &request.budget);
             AnalysisReport {
                 kind: request.kind,
                 fragment,
@@ -399,7 +398,7 @@ fn run_cold(request: &AnalysisRequest) -> AnalysisReport {
             }
         }
         AnalysisKind::Semisoundness => {
-            let r = crate::semisound::run_semisoundness(form, &request.budget, request.threads);
+            let r = crate::semisound::run_semisoundness(form, &request.budget);
             AnalysisReport {
                 kind: request.kind,
                 fragment,

@@ -10,17 +10,12 @@
 //! batch (so duplicate forms — isomorphic initial instances included —
 //! are solved once).
 //!
-//! Parallelism is two-level: the batch pool parallelises *across* forms
-//! (one job = one analysis of one form), and each bounded search may
-//! itself use the parallel frontier engine *within* a form. The analyzer
-//! **splits one thread budget** between the levels: with `t` configured
-//! threads and `j` jobs, the
-//! pool gets `min(t, j)` workers and every inner analysis is granted
-//! `t / pool` explorer threads — so the total concurrent worker count
-//! never exceeds the configured budget. (A saturated pool runs its
-//! searches single-threaded; a single huge job gets the whole budget
-//! within-form. The historical bug here was inner analyses defaulting to
-//! `default_threads()` *each*, oversubscribing the host `t × t`-fold.)
+//! Parallelism is *across* forms only: the batch pool runs one job (one
+//! analysis of one form) per worker, and every exploration inside a job
+//! is sequential. With `t` configured threads and `j` jobs the pool gets
+//! `min(t, j)` workers ([`split_threads`]); the inner share `t / pool` is
+//! recorded as each job's [`AnalysisRequest::threads`] grant, which no
+//! explorer uses to parallelise a single search.
 //!
 //! Results come back in submission order, independent of scheduling:
 //!
@@ -218,17 +213,12 @@ impl BatchAnalyzer {
             .collect();
 
         let (pool_threads, inner_threads) = split_threads(self.threads, jobs.len());
-        #[cfg(not(feature = "parallel"))]
-        let _ = pool_threads; // the pool branch below is compiled out
 
         let budget = &self.budget;
         let cache = &self.cache;
         let rules_sigs = &rules_sigs;
         let run_job = move |i: usize, item: &BatchItem, kind: AnalysisKind| {
             let key = VerdictCache::key_with(&rules_sigs[i], &item.form, kind, budget);
-            // The explicit thread grant is load-bearing: without it every
-            // inner analysis would spawn `default_threads()` explorer
-            // workers on top of the pool's own.
             let request = AnalysisRequest::new(item.form.clone(), kind)
                 .with_budget(budget.clone())
                 .with_threads(inner_threads);
@@ -245,7 +235,6 @@ impl BatchAnalyzer {
             })
             .collect();
 
-        #[cfg(feature = "parallel")]
         if pool_threads > 1 {
             use std::sync::atomic::{AtomicUsize, Ordering};
             use std::sync::Mutex;
@@ -285,17 +274,14 @@ impl BatchAnalyzer {
     }
 }
 
-/// Split one thread budget between the across-forms pool and the
-/// within-form explorer: `(pool, inner)` with `pool * inner <= threads`
-/// (never more concurrent workers than configured), `pool <= jobs` (no
-/// idle pool members), and both at least 1. A saturated pool implies
-/// single-threaded inner searches; a lone job gets the whole budget
-/// within-form.
+/// Split one thread budget into an across-forms pool and a per-job
+/// share: `(pool, inner)` with `pool * inner <= threads`, `pool <= jobs`
+/// (no idle pool members), and both at least 1. The pool size is what
+/// the caller spawns; `inner` is only the grant recorded in each job's
+/// [`AnalysisRequest::threads`] — no grant parallelises a single
+/// exploration.
 ///
-/// Exported because every layered consumer of the pipeline has the same
-/// oversubscription problem the batch analyzer had: `idar-server` splits
-/// its budget between HTTP workers and per-request explorer threads with
-/// this exact function.
+/// `idar-server` sizes its worker pool with this same function.
 pub fn split_threads(threads: usize, jobs: usize) -> (usize, usize) {
     let threads = threads.max(1);
     let pool = threads.min(jobs).max(1);
@@ -367,7 +353,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_batch_matches_sequential() {
         let seq = BatchAnalyzer::new()
@@ -413,10 +398,8 @@ mod tests {
         }
     }
 
-    /// The oversubscription regression: the thread budget is split
-    /// between the pool and the inner searches, so the total concurrent
-    /// worker count (`pool × inner`) never exceeds the configured count
-    /// for any (threads, jobs) combination.
+    /// The thread budget split keeps `pool × inner` within the configured
+    /// count for any (threads, jobs) combination.
     #[test]
     fn thread_budget_split_never_oversubscribes() {
         for threads in 0..=16 {
@@ -436,14 +419,11 @@ mod tests {
     }
 
     /// End-to-end: a parallel batch grants every inner analysis exactly
-    /// its split share, observable as [`AnalysisReport::threads`] — the
-    /// historical `N×N` bug had each of the pool's workers spawning
-    /// `default_threads()` explorer threads of its own.
-    #[cfg(feature = "parallel")]
+    /// its split share, observable as [`AnalysisReport::threads`].
     #[test]
     fn parallel_batch_runs_inner_analyses_single_threaded() {
         // 3 items × 3 kinds = 9 jobs on a 2-thread budget → pool 2,
-        // inner 1: at most 2 concurrent explorer workers in total.
+        // inner 1.
         let reports = BatchAnalyzer::new()
             .with_limits(capped_limits())
             .with_threads(2)
@@ -453,7 +433,7 @@ mod tests {
                 assert_eq!(rep.as_ref().unwrap().threads, 1, "{}", r.name);
             }
         }
-        // A lone job gets the whole budget within-form instead.
+        // A lone job is granted the whole budget instead.
         let reports = BatchAnalyzer::new()
             .with_limits(capped_limits())
             .with_threads(4)

@@ -26,8 +26,8 @@
 //!   entirely (no spurious misses across manager states);
 //! * the [`AnalysisKind`] and the [`Budget`] — verdict-affecting limits
 //!   are part of the key, so a tighter budget can never serve a stale
-//!   `Unknown` for a looser one (thread count is *not* keyed: engines
-//!   are verdict-identical by contract).
+//!   `Unknown` for a looser one (the thread grant is *not* keyed: it is
+//!   accounting only and never reaches an exploration).
 //!
 //! Cached entries carry the verdict, method, and stats — **not** witness
 //! runs: a witness's update node-ids are only meaningful against the

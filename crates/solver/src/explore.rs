@@ -20,36 +20,17 @@
 //!
 //! # Execution modes
 //!
-//! The explorer has two interchangeable engines:
+//! In RAM there is one engine, a sequential BFS: one FIFO queue, one
+//! [`StateStore`], dense [`StateId`]s in discovery order. A bounded
+//! [`MemoryBudget`] swaps the store for the out-of-core spill store of
+//! [`crate::spill`] (the *capacity engine*), which walks the same states
+//! in the same order. Neither engine uses threads: parallelism lives one
+//! level up, across forms (the [`BatchAnalyzer`](crate::BatchAnalyzer)
+//! pool and the server's worker pool), never inside one exploration.
 //!
-//! * **Sequential BFS** — one FIFO queue, one [`StateStore`]. Always
-//!   available; state indices follow discovery order.
-//! * **Pooled parallel BFS** (cargo feature `parallel`, on by default) —
-//!   a **persistent worker pool** over a fingerprint-sharded
-//!   [`ShardedStateStore`](crate::store::ShardedStateStore). Workers are
-//!   spawned lazily once per run and live until it ends (no per-layer
-//!   spawn/join); within a layer they claim frontier chunks from a
-//!   shared atomic cursor and intern successors *directly* into the
-//!   store shard that owns the successor's key fingerprint — dedup,
-//!   storage and BFS provenance in one lock acquisition, with no second
-//!   sequential merge pass. The layer barrier only assigns dense
-//!   [`StateId`]s (plain vector pushes, no hashing); the CSR successor
-//!   table is assembled from the per-worker edge logs at finish time.
-//!   See `docs/ARCHITECTURE.md` for the pool/shard diagram.
-//!
-//! Both engines visit exactly the same state set, report the same
-//! [`SearchStats::closed`] flag and the same `states` count, and find
-//! goals at the same BFS depth; these invariants are independent of
-//! thread scheduling. What *may* vary — between the engines and, for the
-//! parallel engine, between runs (chunk claiming is racy, so the OS
-//! scheduler picks which discoverer supplies a state's parent pointer
-//! and barrier position) — is state numbering, which same-depth goal
-//! state is returned first, and the `transitions` count of searches that
-//! stop early (workers abandon their remaining chunks as soon as the
-//! terminal condition is flagged). Use `.with_threads(1)` when
-//! bit-identical graphs across runs matter. The differential tests in
-//! this module and in `tests/parallel_differential.rs` pin these
-//! guarantees down.
+//! Every outcome — the visited state set and its numbering, the goal
+//! state and run returned, and every [`SearchStats`] field — is a pure
+//! function of form, limits and symmetry mode.
 
 use crate::kernel::{Kernel, Step};
 use crate::session::{ExpandEvent, ExpansionLog, SessionGraph};
@@ -162,16 +143,14 @@ impl StateGraph {
     }
 }
 
-/// Number of worker threads the explorer uses by default: all available
-/// cores with the `parallel` feature, 1 without.
+/// The default thread budget of the across-form pools (the
+/// [`BatchAnalyzer`](crate::BatchAnalyzer) and the server's workers): all
+/// available cores. No grant parallelises a single exploration; the
+/// explorer is always sequential.
 pub fn default_threads() -> usize {
-    if cfg!(feature = "parallel") {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        1
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Bounded breadth-first explorer over a guarded form's instances.
@@ -181,7 +160,7 @@ pub fn default_threads() -> usize {
 /// use idar_solver::{ExploreLimits, Explorer};
 ///
 /// let form = leave::example_3_12();
-/// let explorer = Explorer::new(&form, ExploreLimits::small()).with_threads(2);
+/// let explorer = Explorer::new(&form, ExploreLimits::small());
 /// let out = explorer.find(|i| form.is_complete(i));
 /// let run = out.goal_run.expect("the leave form is completable");
 /// assert!(form.is_complete_run(&run));
@@ -190,29 +169,26 @@ pub fn default_threads() -> usize {
 pub struct Explorer<'a> {
     form: &'a GuardedForm,
     limits: ExploreLimits,
-    threads: usize,
     symmetry: SymmetryMode,
     memory: MemoryBudget,
 }
 
 impl<'a> Explorer<'a> {
-    /// An explorer over `form` with the given limits, the default
-    /// thread count ([`default_threads`]), and symmetry reduction on.
+    /// An explorer over `form` with the given limits and symmetry
+    /// reduction on.
     pub fn new(form: &'a GuardedForm, limits: ExploreLimits) -> Self {
         Explorer {
             form,
             limits,
-            threads: default_threads(),
             symmetry: SymmetryMode::Reduced,
             memory: MemoryBudget::unbounded(),
         }
     }
 
-    /// Set the worker-thread count. `1` forces the sequential engine;
-    /// values above 1 use the parallel layered engine when the `parallel`
-    /// feature is enabled (and fall back to sequential otherwise).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// A no-op, kept for source compatibility: no thread grant
+    /// parallelises a single exploration, which always runs the
+    /// sequential engine.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -229,9 +205,8 @@ impl<'a> Explorer<'a> {
     /// [`Explorer::find`] run the out-of-core **capacity engine** (see
     /// [`crate::spill`]): delta-compressed state records that spill cold
     /// pages to a temp file so the arena-resident encoded bytes stay
-    /// under the budget. The engine is sequential (the thread setting is
-    /// ignored while a budget is set) and visits exactly the same states
-    /// with the same [`SearchStats`] as the sequential in-RAM engine.
+    /// under the budget. It visits exactly the same states with the same
+    /// [`SearchStats`] as the in-RAM engine.
     ///
     /// [`Explorer::graph`] and [`Explorer::build_session`] ignore the
     /// budget: retained graphs hand out `&Instance`/run-to views that
@@ -240,11 +215,6 @@ impl<'a> Explorer<'a> {
     pub fn with_memory_budget(mut self, memory: MemoryBudget) -> Self {
         self.memory = memory;
         self
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The configured memory budget.
@@ -260,20 +230,11 @@ impl<'a> Explorer<'a> {
     /// BFS from the initial instance until `goal` holds for some state (or
     /// the space/limits are exhausted). Returns the shortest-in-BFS run to
     /// the goal, if found.
-    pub fn find(&self, goal: impl Fn(&Instance) -> bool + Sync) -> ExploreOutcome {
+    pub fn find(&self, goal: impl FnMut(&Instance) -> bool) -> ExploreOutcome {
+        let mut goal = goal;
         if self.memory.is_bounded() {
-            let mut goal = goal;
             return self.run_capacity(Some(&mut goal), false).0;
         }
-        #[cfg(feature = "parallel")]
-        if self.threads > 1 {
-            let g = self.run_parallel(Some(&goal), false);
-            return ExploreOutcome {
-                goal_run: g.goal.map(|i| g.graph.store.run_to(i)),
-                stats: g.graph.stats,
-            };
-        }
-        let mut goal = goal;
         let g = self.run(Some(&mut goal), false, None);
         ExploreOutcome {
             goal_run: g.goal.map(|i| g.graph.store.run_to(i)),
@@ -321,10 +282,6 @@ impl<'a> Explorer<'a> {
 
     /// Exhaustively (within limits) build the reachable state graph.
     pub fn graph(&self) -> StateGraph {
-        #[cfg(feature = "parallel")]
-        if self.threads > 1 {
-            return self.run_parallel(None, true).graph;
-        }
         self.run(None, true, None).graph
     }
 
@@ -332,10 +289,6 @@ impl<'a> Explorer<'a> {
     /// (within limits) and retain everything — states, edges, and the
     /// per-state [`ExpansionLog`] — as a [`SessionGraph`] that later
     /// queries [`resume`](Explorer::resume) from.
-    ///
-    /// Always runs the sequential engine regardless of the configured
-    /// thread count: the expansion journal requires the deterministic
-    /// enumeration order only the FIFO BFS guarantees.
     pub fn build_session(&self) -> SessionGraph {
         let mut log = ExpansionLog::default();
         let r = self.run(None, true, Some(&mut log));
@@ -346,7 +299,7 @@ impl<'a> Explorer<'a> {
     /// in `session` and search for `goal` under *this* explorer's
     /// limits, reusing every retained state, provenance pointer, and
     /// logged expansion. Equivalent — in verdict, goal depth, and
-    /// [`SearchStats`] — to a cold sequential [`Explorer::find`] on the
+    /// [`SearchStats`] — to a cold [`Explorer::find`] on the
     /// form re-rooted at that state's instance; see the
     /// [`crate::session`] docs for the exact contract. New states
     /// discovered past the retained frontier are interned into the
@@ -360,7 +313,7 @@ impl<'a> Explorer<'a> {
         session.resume_with(self.form, self.limits, from, goal)
     }
 
-    /// The sequential engine: FIFO BFS over a [`StateStore`].
+    /// The in-RAM engine: FIFO BFS over a [`StateStore`].
     ///
     /// Dense [`StateId`]s are assigned in discovery order, so an id
     /// doubles as the state's index — no side table.
@@ -557,398 +510,6 @@ impl<'a> Explorer<'a> {
             store.report(),
         )
     }
-
-    /// The parallel engine: a persistent worker pool over the
-    /// fingerprint-sharded [`ShardedStateStore`].
-    ///
-    /// Workers are spawned lazily (the first time a layer is wide enough
-    /// to dispatch) and then live for the whole run, blocking on their
-    /// job channel between layers. Within a layer every pool member —
-    /// the coordinating thread included — claims frontier chunks from a
-    /// shared atomic cursor and interns successors straight into the
-    /// store shard owning the successor's fingerprint: dedup, storage
-    /// and parent provenance happen under one shard lock, so there is no
-    /// second sequential intern pass at the barrier. The barrier itself
-    /// only assigns dense [`StateId`]s in pool order (vector pushes),
-    /// mirroring the sequential engine's goal/state-cap truncation
-    /// exactly; states interned past a terminal condition are trimmed at
-    /// finish time, which keeps `stats.states` equal to the sequential
-    /// count at every limit boundary. Narrow layers (deep, thin spaces
-    /// like the Thm 4.1 machine simulations) are expanded inline by the
-    /// coordinator without waking the pool.
-    #[cfg(feature = "parallel")]
-    fn run_parallel(
-        &self,
-        goal: Option<&(dyn Fn(&Instance) -> bool + Sync)>,
-        want_edges: bool,
-    ) -> RunResult {
-        use crate::store::{PackedStateId, ShardedStateStore};
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::{mpsc, Arc};
-
-        /// One `(from, update, successor)` record; the successor is
-        /// still a packed id until finish-time remapping.
-        type PendEdge = (StateId, Update, PackedStateId);
-
-        /// A layer's shared work description: the frontier snapshot plus
-        /// the cursor workers claim chunks from.
-        struct LayerWork {
-            items: Vec<(StateId, Arc<Instance>)>,
-            cursor: AtomicUsize,
-            chunk: usize,
-            depth: u32,
-        }
-
-        /// What the pool is asked to do with a layer.
-        enum Job {
-            /// Expand every frontier state.
-            Expand(Arc<LayerWork>),
-            /// Depth-limit exhaustiveness probe: does *any* frontier
-            /// state still have a successor? Short-circuits pool-wide.
-            Probe(Arc<LayerWork>),
-        }
-
-        /// A state discovered (intern race won) by one pool member.
-        struct NewState {
-            id: PackedStateId,
-            inst: Arc<Instance>,
-            is_goal: bool,
-        }
-
-        /// One pool member's output for one job.
-        #[derive(Default)]
-        struct LayerOut {
-            new: Vec<NewState>,
-            transitions: usize,
-            pruned: Option<LimitKind>,
-            probe_found: bool,
-        }
-
-        /// The shared read-only context of every pool member.
-        #[derive(Clone, Copy)]
-        struct Ctx<'a> {
-            form: &'a GuardedForm,
-            limits: ExploreLimits,
-            store: &'a ShardedStateStore,
-            /// Terminal condition (goal found / state cap reached / probe
-            /// succeeded): abandon remaining chunks.
-            stop: &'a AtomicBool,
-            /// Running count of interned states (the workers' state-cap
-            /// heuristic; the barrier's dense assignment is the truth).
-            states_total: &'a AtomicUsize,
-            goal: Option<&'a (dyn Fn(&Instance) -> bool + Sync)>,
-            want_edges: bool,
-        }
-
-        /// The chunk-claiming protocol shared by [`expand`] and
-        /// [`probe`]: claim chunks off the layer's shared cursor and feed
-        /// items to `handle` until the layer drains or `handle` breaks
-        /// (the pool-wide terminal flag).
-        fn for_each_claimed(
-            work: &LayerWork,
-            mut handle: impl FnMut(&(StateId, Arc<Instance>)) -> ControlFlow<()>,
-        ) {
-            let n = work.items.len();
-            'claim: loop {
-                let start = work.cursor.fetch_add(work.chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for item in &work.items[start..(start + work.chunk).min(n)] {
-                    if handle(item).is_break() {
-                        break 'claim;
-                    }
-                }
-            }
-        }
-
-        /// The expansion loop every pool member runs, mirroring the
-        /// sequential inner loop exactly (same prune checks, goal
-        /// evaluated only on newly discovered states).
-        fn expand(ctx: &Ctx, work: &LayerWork, edges: &mut Vec<PendEdge>) -> LayerOut {
-            let mut out = LayerOut::default();
-            let mut kernel = Kernel::new(ctx.form, &ctx.limits, ctx.store.symmetry());
-            for_each_claimed(work, |(from, inst)| {
-                if ctx.stop.load(Ordering::Relaxed) {
-                    return ControlFlow::Break(());
-                }
-                kernel.load(inst);
-                kernel.expand(|u, step| {
-                    if ctx.stop.load(Ordering::Relaxed) {
-                        return ControlFlow::Break(());
-                    }
-                    out.transitions += 1;
-                    let next = match step {
-                        Step::Pruned(kind) => {
-                            out.pruned = Some(kind);
-                            return ControlFlow::Continue(());
-                        }
-                        Step::Next(next) => next,
-                    };
-                    let (id, created) = ctx.store.intern(
-                        next.fingerprint,
-                        next.words,
-                        next.inst,
-                        Some((*from, u)),
-                        work.depth + 1,
-                    );
-                    if ctx.want_edges {
-                        edges.push((*from, u, id));
-                    }
-                    if let Some(arc) = created {
-                        let count = ctx.states_total.fetch_add(1, Ordering::Relaxed) + 1;
-                        let is_goal = ctx.goal.is_some_and(|g| g(&arc));
-                        if is_goal || count >= ctx.limits.max_states {
-                            ctx.stop.store(true, Ordering::Relaxed);
-                        }
-                        out.new.push(NewState {
-                            id,
-                            inst: arc,
-                            is_goal,
-                        });
-                    }
-                    ControlFlow::Continue(())
-                })
-            });
-            out
-        }
-
-        /// The depth-limit probe every pool member runs: short-circuit
-        /// pool-wide on the first frontier state with a successor.
-        fn probe(ctx: &Ctx, work: &LayerWork) -> LayerOut {
-            let mut out = LayerOut::default();
-            for_each_claimed(work, |(_, inst)| {
-                if ctx.stop.load(Ordering::Relaxed) {
-                    return ControlFlow::Break(());
-                }
-                if ctx.form.has_allowed_update(inst) {
-                    out.probe_found = true;
-                    ctx.stop.store(true, Ordering::Relaxed);
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            });
-            out
-        }
-
-        let form = self.form;
-        let limits = self.limits;
-        let threads = self.threads;
-        let mut stats = SearchStats::default();
-
-        // Goal at the initial instance short-circuits before any pool
-        // machinery exists (and closes, per the sequential contract).
-        let initial = form.initial().clone();
-        if let Some(g) = goal {
-            if g(&initial) {
-                let mut store = StateStore::new(self.symmetry);
-                let (root, _) = store.intern(initial, None);
-                stats.states = 1;
-                stats.closed = true;
-                return finish_run(store, Vec::new(), stats, Some(root), want_edges);
-            }
-        }
-
-        let store = ShardedStateStore::new(self.symmetry);
-        let stop = AtomicBool::new(false);
-        let states_total = AtomicUsize::new(1); // the root
-        let root_key = store.key_of(&initial);
-        let (root_packed, root_arc) =
-            store.intern(root_key.fingerprint(), root_key.words(), &initial, None, 0);
-        let root_arc = root_arc.expect("the root interns into the empty store as new");
-        stats.states = 1;
-
-        // Dense-id assignment state: `locs[g]` is the packed id of dense
-        // state `g`; `global_of[shard][local]` inverts it (missing /
-        // `u32::MAX` ⇒ trimmed, never assigned).
-        let mut locs: Vec<PackedStateId> = vec![root_packed];
-        let mut global_of: Vec<Vec<u32>> = vec![Vec::new(); ShardedStateStore::SHARD_COUNT];
-        fn assign(global_of: &mut [Vec<u32>], p: PackedStateId, g: u32) {
-            let col = &mut global_of[p.shard()];
-            if col.len() <= p.local() {
-                col.resize(p.local() + 1, u32::MAX);
-            }
-            col[p.local()] = g;
-        }
-        assign(&mut global_of, root_packed, 0);
-
-        let ctx = Ctx {
-            form,
-            limits,
-            store: &store,
-            stop: &stop,
-            states_total: &states_total,
-            goal,
-            want_edges,
-        };
-
-        let (goal_state, coord_edges, worker_edges) = std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<LayerOut>();
-            let mut job_txs: Vec<mpsc::Sender<Job>> = Vec::new();
-            let mut handles = Vec::new();
-            let mut coord_edges: Vec<PendEdge> = Vec::new();
-
-            // Spawn the pool on first use; each worker loops over its job
-            // channel until the coordinator drops the senders, returning
-            // its accumulated edge log on join.
-            let mut dispatch = |work: &Arc<LayerWork>,
-                                probe_job: bool,
-                                job_txs: &mut Vec<mpsc::Sender<Job>>|
-             -> usize {
-                if job_txs.is_empty() {
-                    for _ in 0..threads - 1 {
-                        let (jtx, jrx) = mpsc::channel::<Job>();
-                        job_txs.push(jtx);
-                        let res = res_tx.clone();
-                        let wctx = ctx;
-                        handles.push(scope.spawn(move || {
-                            let mut edges: Vec<PendEdge> = Vec::new();
-                            while let Ok(job) = jrx.recv() {
-                                let out = match job {
-                                    Job::Expand(w) => expand(&wctx, &w, &mut edges),
-                                    Job::Probe(w) => probe(&wctx, &w),
-                                };
-                                if res.send(out).is_err() {
-                                    break;
-                                }
-                            }
-                            edges
-                        }));
-                    }
-                }
-                for tx in job_txs.iter() {
-                    let j = if probe_job {
-                        Job::Probe(work.clone())
-                    } else {
-                        Job::Expand(work.clone())
-                    };
-                    tx.send(j).expect("pool worker exited early");
-                }
-                job_txs.len()
-            };
-
-            let mut frontier: Vec<(StateId, Arc<Instance>)> = vec![(StateId(0), root_arc)];
-            let mut cur_depth = 0usize;
-            let mut pruned = false;
-            let mut goal_state: Option<StateId> = None;
-
-            // A layer is dispatched to the pool only when it offers every
-            // member a meaningful chunk; narrow layers are expanded
-            // inline by the coordinator without waking anyone.
-            const MIN_ITEMS_PER_WORKER: usize = 4;
-
-            'search: loop {
-                if frontier.is_empty() {
-                    stats.closed = !pruned;
-                    break;
-                }
-                let wide = threads > 1 && frontier.len() >= MIN_ITEMS_PER_WORKER * threads;
-                let chunk = (frontier.len() / (threads * 8)).clamp(1, 1024);
-                let work = Arc::new(LayerWork {
-                    items: std::mem::take(&mut frontier),
-                    cursor: AtomicUsize::new(0),
-                    chunk,
-                    depth: cur_depth as u32,
-                });
-
-                if cur_depth >= limits.max_depth {
-                    // Unexpanded frontier: exhaustiveness is lost iff any
-                    // frontier state still has a successor. One probe hit
-                    // short-circuits the whole pool.
-                    let sent = if wide {
-                        dispatch(&work, true, &mut job_txs)
-                    } else {
-                        0
-                    };
-                    let mut found = probe(&ctx, &work).probe_found;
-                    for _ in 0..sent {
-                        found |= res_rx.recv().expect("pool worker died").probe_found;
-                    }
-                    if found {
-                        pruned = true;
-                        stats.limit_hit = Some(LimitKind::Depth);
-                    }
-                    stats.closed = !pruned;
-                    break;
-                }
-
-                // --- expand: the pool (and this thread) drain the layer
-                let sent = if wide {
-                    dispatch(&work, false, &mut job_txs)
-                } else {
-                    0
-                };
-                let mut outs = Vec::with_capacity(sent + 1);
-                outs.push(expand(&ctx, &work, &mut coord_edges));
-                for _ in 0..sent {
-                    outs.push(res_rx.recv().expect("pool worker died"));
-                }
-
-                // --- barrier: merge stats, assign dense ids ------------
-                for out in &outs {
-                    stats.transitions += out.transitions;
-                    if let Some(k) = out.pruned {
-                        pruned = true;
-                        stats.limit_hit = Some(k);
-                    }
-                }
-                let mut next: Vec<(StateId, Arc<Instance>)> = Vec::new();
-                'merge: for out in outs {
-                    for ns in out.new {
-                        let g = StateId(locs.len() as u32);
-                        locs.push(ns.id);
-                        assign(&mut global_of, ns.id, g.0);
-                        stats.states += 1;
-                        if ns.is_goal {
-                            goal_state = Some(g);
-                            break 'merge;
-                        }
-                        if stats.states >= limits.max_states {
-                            stats.limit_hit = Some(LimitKind::States);
-                            break 'merge;
-                        }
-                        next.push((g, ns.inst));
-                    }
-                }
-                if goal_state.is_some() || stats.limit_hit == Some(LimitKind::States) {
-                    break 'search;
-                }
-                frontier = next;
-                cur_depth += 1;
-            }
-
-            drop(job_txs); // workers drain and exit
-            let worker_edges: Vec<Vec<PendEdge>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker panicked"))
-                .collect();
-            (goal_state, coord_edges, worker_edges)
-        });
-
-        // --- finish: remap edges, flatten the shards -------------------
-        // Edges whose target was trimmed (interned past a terminal
-        // condition, never assigned a dense id) are dropped, matching the
-        // sequential engine's truncation. All frontier handles died with
-        // the scope, so the flatten unwraps instances without cloning.
-        let triples: Vec<(StateId, Update, StateId)> = if want_edges {
-            coord_edges
-                .into_iter()
-                .chain(worker_edges.into_iter().flatten())
-                .filter_map(|(from, u, p)| {
-                    let g = global_of[p.shard()].get(p.local()).copied();
-                    match g {
-                        Some(g) if g != u32::MAX => Some((from, u, StateId(g))),
-                        _ => None,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        debug_assert_eq!(stats.states, locs.len());
-        let store = store.into_store(&locs);
-        finish_run(store, triples, stats, goal_state, want_edges)
-    }
 }
 
 struct RunResult {
@@ -956,7 +517,7 @@ struct RunResult {
     goal: Option<StateId>,
 }
 
-/// Shared graph finalization of both engines: build the CSR successor
+/// Graph finalization of the in-RAM engine: build the CSR successor
 /// table (or an empty one for goal searches) and package the result.
 fn finish_run(
     store: StateStore,
@@ -1001,10 +562,26 @@ mod tests {
         GuardedForm::new(schema, rules, init, Formula::parse("a & b").unwrap())
     }
 
+    /// The toggle form without deletions: each of a, b can be added once
+    /// and never removed, so {a,b} at depth 2 is a dead end.
+    fn add_once_form() -> GuardedForm {
+        let schema = Arc::new(Schema::parse("a, b").unwrap());
+        let mut rules = AccessRules::new(&schema);
+        for label in ["a", "b"] {
+            rules.set_both(
+                schema.resolve(label).unwrap(),
+                Formula::parse(&format!("!{label}")).unwrap(),
+                Formula::False,
+            );
+        }
+        let init = Instance::empty(schema.clone());
+        GuardedForm::new(schema, rules, init, Formula::parse("a & b").unwrap())
+    }
+
     #[test]
     fn finds_goal_and_run_replays() {
         let g = toggle_form();
-        let ex = Explorer::new(&g, ExploreLimits::small()).with_threads(1);
+        let ex = Explorer::new(&g, ExploreLimits::small());
         let out = ex.find(|i| g.is_complete(i));
         let run = out.goal_run.expect("goal reachable");
         assert_eq!(run.len(), 2);
@@ -1014,9 +591,7 @@ mod tests {
     #[test]
     fn graph_closes_on_finite_space() {
         let g = toggle_form();
-        let graph = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
+        let graph = Explorer::new(&g, ExploreLimits::small()).graph();
         assert_eq!(graph.state_count(), 4); // {}, {a}, {b}, {a,b}
         assert!(graph.stats.closed);
         // Every non-initial state's reconstructed run replays.
@@ -1030,9 +605,7 @@ mod tests {
     #[test]
     fn edges_cover_all_transitions() {
         let g = toggle_form();
-        let graph = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
+        let graph = Explorer::new(&g, ExploreLimits::small()).graph();
         // state {}: 2 adds; {a}: del a + add b; {b}: del b + add a;
         // {a,b}: del a + del b. Total 8 directed edges.
         assert_eq!(graph.edge_count(), 8);
@@ -1045,9 +618,25 @@ mod tests {
             max_states: 2,
             ..ExploreLimits::small()
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         assert!(!graph.stats.closed);
         assert_eq!(graph.stats.limit_hit, Some(LimitKind::States));
+        // The cap stops at exactly its count, mid-layer ({} then {a} of
+        // the {a}, {b} layer) and at a layer's end, in both symmetry
+        // modes.
+        for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
+            for max_states in [2, 3, 4] {
+                let lim = ExploreLimits {
+                    max_states,
+                    ..ExploreLimits::small()
+                };
+                let graph = Explorer::new(&g, lim).with_symmetry(symmetry).graph();
+                assert_eq!(graph.state_count(), max_states, "{symmetry} {max_states}");
+                assert_eq!(graph.stats.states, max_states, "{symmetry} {max_states}");
+                assert!(!graph.stats.closed, "{symmetry} {max_states}");
+                assert_eq!(graph.stats.limit_hit, Some(LimitKind::States));
+            }
+        }
     }
 
     /// The capacity engine (tiny spill budget) is verdict-, depth- and
@@ -1056,9 +645,7 @@ mod tests {
     #[test]
     fn capacity_engine_matches_sequential_on_leave() {
         let g = idar_core::leave::example_3_12();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let seq = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         let (cap, report) = Explorer::new(&g, ExploreLimits::small())
             .with_memory_budget(MemoryBudget::bytes(4 * 1024))
             .find_spilled(|i| g.is_complete(i));
@@ -1079,9 +666,7 @@ mod tests {
     #[test]
     fn budgeted_find_closes_finite_space() {
         let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|_| false);
+        let seq = Explorer::new(&g, ExploreLimits::small()).find(|_| false);
         let cap = Explorer::new(&g, ExploreLimits::small())
             .with_memory_budget(MemoryBudget::bytes(0))
             .find(|_| false);
@@ -1091,27 +676,12 @@ mod tests {
     }
 
     /// Frontier-only mode on a deletion-free form: same stats and goal
-    /// depth as the sequential engine, no retained records.
+    /// depth as the in-RAM engine, no retained records.
     #[test]
     fn frontier_only_matches_on_deletion_free_form() {
-        let schema = Arc::new(Schema::parse("a, b").unwrap());
-        let mut rules = AccessRules::new(&schema);
-        rules.set_both(
-            schema.resolve("a").unwrap(),
-            Formula::parse("!a").unwrap(),
-            Formula::False,
-        );
-        rules.set_both(
-            schema.resolve("b").unwrap(),
-            Formula::parse("!b").unwrap(),
-            Formula::False,
-        );
-        let init = Instance::empty(schema.clone());
-        let g = GuardedForm::new(schema, rules, init, Formula::parse("a & b").unwrap());
+        let g = add_once_form();
         assert!(g.is_deletion_free());
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let seq = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         let (fo, report) =
             Explorer::new(&g, ExploreLimits::small()).find_frontier_only(|i| g.is_complete(i));
         assert_eq!(fo.stats, seq.stats);
@@ -1133,7 +703,7 @@ mod tests {
             max_depth: usize::MAX,
             multiplicity_cap: None,
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         assert!(!graph.stats.closed);
         assert_eq!(graph.stats.limit_hit, Some(LimitKind::StateSize));
         // 16 states: 0..=15 copies of `a` … plus none beyond the cap.
@@ -1150,7 +720,7 @@ mod tests {
             multiplicity_cap: Some(3),
             ..ExploreLimits::small()
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         assert_eq!(graph.state_count(), 4); // 0,1,2,3 copies
         assert!(!graph.stats.closed);
         assert_eq!(graph.stats.limit_hit, Some(LimitKind::Multiplicity));
@@ -1159,9 +729,7 @@ mod tests {
     #[test]
     fn goal_at_initial_state() {
         let g = toggle_form().with_completion(Formula::True);
-        let out = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let out = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         assert_eq!(out.goal_run, Some(vec![]));
     }
 
@@ -1172,10 +740,25 @@ mod tests {
             max_depth: 1,
             ..ExploreLimits::small()
         };
-        let graph = Explorer::new(&g, lim).with_threads(1).graph();
+        let graph = Explorer::new(&g, lim).graph();
         // initial + {a} + {b}; {a,b} is at depth 2.
         assert_eq!(graph.state_count(), 3);
         assert!(!graph.stats.closed);
+        assert_eq!(graph.stats.limit_hit, Some(LimitKind::Depth));
+        // A depth limit that exhausts the space: the add-once form's
+        // depth-2 states have no successors, so the search closes and
+        // records no limit.
+        let g = add_once_form();
+        let lim = ExploreLimits {
+            max_depth: 2,
+            ..ExploreLimits::small()
+        };
+        for (symmetry, states) in [(SymmetryMode::Reduced, 4), (SymmetryMode::Plain, 5)] {
+            let graph = Explorer::new(&g, lim).with_symmetry(symmetry).graph();
+            assert!(graph.stats.closed, "{symmetry}");
+            assert_eq!(graph.stats.limit_hit, None, "{symmetry}");
+            assert_eq!(graph.state_count(), states, "{symmetry}");
+        }
     }
 
     /// With the symmetry reduction off (plain mode), sibling permutations
@@ -1184,22 +767,16 @@ mod tests {
     #[test]
     fn plain_mode_explores_the_ordered_space() {
         let g = toggle_form();
-        let reduced = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
+        let reduced = Explorer::new(&g, ExploreLimits::small()).graph();
         let plain = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
             .with_symmetry(SymmetryMode::Plain)
             .graph();
         assert_eq!(reduced.state_count(), 4);
         assert_eq!(plain.state_count(), 5); // {}, a, b, ab, ba
         assert!(reduced.stats.closed && plain.stats.closed);
         // Goal search agrees on existence and BFS depth.
-        let rf = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
+        let rf = Explorer::new(&g, ExploreLimits::small()).find(|i| g.is_complete(i));
         let pf = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
             .with_symmetry(SymmetryMode::Plain)
             .find(|i| g.is_complete(i));
         assert_eq!(
@@ -1207,138 +784,5 @@ mod tests {
             pf.goal_run.as_ref().map(Vec::len)
         );
         assert!(g.is_complete_run(&pf.goal_run.unwrap()));
-    }
-
-    // -- parallel engine ----------------------------------------------------
-
-    /// The canonical state set of a graph, as a sorted list of iso codes.
-    #[cfg(feature = "parallel")]
-    fn state_set(g: &StateGraph) -> Vec<String> {
-        let mut v: Vec<String> = g.states().iter().map(|s| s.iso_code()).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Parallel and sequential engines agree on the state set, closedness,
-    /// depths, and edge counts of a small closed space.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_graph_matches_sequential() {
-        let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .graph();
-        for threads in [2, 3, 8] {
-            let par = Explorer::new(&g, ExploreLimits::small())
-                .with_threads(threads)
-                .graph();
-            assert_eq!(state_set(&par), state_set(&seq), "threads={threads}");
-            assert_eq!(par.stats.states, seq.stats.states);
-            assert_eq!(par.stats.transitions, seq.stats.transitions);
-            assert!(par.stats.closed);
-            assert_eq!(par.edge_count(), seq.edge_count());
-            // Depth multisets agree (BFS layering is engine-independent).
-            let mut sd: Vec<usize> = (0..seq.state_count()).map(|i| seq.depth_of(i)).collect();
-            let mut pd: Vec<usize> = (0..par.state_count()).map(|i| par.depth_of(i)).collect();
-            sd.sort_unstable();
-            pd.sort_unstable();
-            assert_eq!(sd, pd);
-            // Every parallel parent pointer reconstructs a valid run.
-            for i in 0..par.state_count() {
-                let run = par.run_to(i);
-                assert_eq!(run.len(), par.depth_of(i));
-                let r = g.replay(&run).unwrap();
-                assert!(r.last().isomorphic(par.state(i)));
-            }
-        }
-    }
-
-    /// Parallel `find` returns a replayable shortest run.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_find_agrees() {
-        let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .find(|i| g.is_complete(i));
-        let par = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(4)
-            .find(|i| g.is_complete(i));
-        let seq_run = seq.goal_run.expect("seq finds goal");
-        let par_run = par.goal_run.expect("par finds goal");
-        assert_eq!(seq_run.len(), par_run.len(), "same BFS goal depth");
-        assert!(g.is_complete_run(&par_run));
-    }
-
-    /// Limit behaviours (state cap, depth cap, size cap) are preserved.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_limits_match() {
-        let g = toggle_form();
-        // Depth cap.
-        let lim = ExploreLimits {
-            max_depth: 1,
-            ..ExploreLimits::small()
-        };
-        let par = Explorer::new(&g, lim).with_threads(4).graph();
-        assert_eq!(par.state_count(), 3);
-        assert!(!par.stats.closed);
-        assert_eq!(par.stats.limit_hit, Some(LimitKind::Depth));
-
-        // State-size cap on an unbounded form.
-        let schema = Arc::new(Schema::parse("a").unwrap());
-        let rules = AccessRules::with_default(&schema, Formula::True);
-        let init = Instance::empty(schema.clone());
-        let grow = GuardedForm::new(schema, rules, init, Formula::False);
-        let lim = ExploreLimits {
-            max_states: 1000,
-            max_state_size: 16,
-            max_depth: usize::MAX,
-            multiplicity_cap: None,
-        };
-        let par = Explorer::new(&grow, lim).with_threads(4).graph();
-        assert!(!par.stats.closed);
-        assert_eq!(par.stats.limit_hit, Some(LimitKind::StateSize));
-        assert_eq!(par.state_count(), 16);
-
-        // State-count cap.
-        let lim = ExploreLimits {
-            max_states: 2,
-            ..ExploreLimits::small()
-        };
-        let par = Explorer::new(&g, lim).with_threads(4).graph();
-        assert!(!par.stats.closed);
-        assert_eq!(par.stats.limit_hit, Some(LimitKind::States));
-    }
-
-    /// Goal on the initial instance short-circuits identically.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_goal_at_initial_state() {
-        let g = toggle_form().with_completion(Formula::True);
-        let out = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(4)
-            .find(|i| g.is_complete(i));
-        assert_eq!(out.goal_run, Some(vec![]));
-        assert!(out.stats.closed);
-    }
-
-    /// The parallel engine honours the plain symmetry mode and matches
-    /// the sequential plain exploration.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_plain_mode_matches_sequential() {
-        let g = toggle_form();
-        let seq = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .with_symmetry(SymmetryMode::Plain)
-            .graph();
-        let par = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(4)
-            .with_symmetry(SymmetryMode::Plain)
-            .graph();
-        assert_eq!(par.state_count(), seq.state_count());
-        assert_eq!(par.stats.transitions, seq.stats.transitions);
-        assert!(par.stats.closed);
     }
 }

@@ -1,8 +1,8 @@
 //! The successor kernel: the one way every explorer turns a state into
 //! its successors.
 //!
-//! The sequential engine, the capacity engine, the pooled parallel
-//! engine and session resumes all expand states through [`Kernel`].
+//! The in-RAM engine, the capacity engine and session resumes all
+//! expand states through [`Kernel`].
 //! Per expanded state it
 //!
 //! 1. copies the state into a working instance — the one copy per

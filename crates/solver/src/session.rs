@@ -38,7 +38,7 @@
 //!
 //! # Exactness
 //!
-//! `exact()` is `stats.closed` of the build: the sequential engine sets
+//! `exact()` is `stats.closed` of the build: the explorer sets
 //! `closed` only when no prune event fired, and its depth-limit probe
 //! verifies the unexpanded frontier has no successors — so a closed
 //! build, even a depth-limited one, covers the *entire* reachable space.
@@ -416,7 +416,7 @@ impl SessionGraph {
 
     /// The expansion events of `i`: replayed from a complete logged span
     /// when valid, otherwise produced by direct expansion — mirroring
-    /// the sequential engine's inner loop (same prune order) — which
+    /// the explorer's inner loop (same prune order) — which
     /// interns any new successors into the retained store and, when the
     /// limits match the build's, records the completed span.
     fn expansion_of(
@@ -503,9 +503,7 @@ mod tests {
     #[test]
     fn closed_build_is_exact_and_annotates() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
         assert!(s.exact());
         assert_eq!(s.retained_states(), 4);
         assert!(s.frontier().is_empty());
@@ -520,17 +518,13 @@ mod tests {
     #[test]
     fn resume_matches_cold_run_per_state() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
         for i in 0..s.retained_states() {
             let id = StateId(i as u32);
-            let warm = Explorer::new(&g, ExploreLimits::small())
-                .with_threads(1)
-                .resume(&mut s, id, |x| g.is_complete(x));
+            let warm =
+                Explorer::new(&g, ExploreLimits::small()).resume(&mut s, id, |x| g.is_complete(x));
             let cold_form = g.with_initial(s.store().get(id).clone());
             let cold = Explorer::new(&cold_form, ExploreLimits::small())
-                .with_threads(1)
                 .find(|x| cold_form.is_complete(x));
             assert_eq!(warm.stats, cold.stats, "state {i}");
             assert_eq!(
@@ -550,11 +544,10 @@ mod tests {
             max_states: 2,
             ..ExploreLimits::small()
         };
-        let mut s = Explorer::new(&g, lim).with_threads(1).build_session();
+        let mut s = Explorer::new(&g, lim).build_session();
         assert!(!s.exact());
         assert_eq!(s.retained_states(), 2);
         let out = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
             .resume(&mut s, StateId(0), |x| g.is_complete(x));
         let run = out.goal_run.expect("goal reachable");
         assert_eq!(run.len(), 2);
@@ -565,18 +558,14 @@ mod tests {
     #[test]
     fn resume_respects_its_own_limits() {
         let g = toggle_form();
-        let mut s = Explorer::new(&g, ExploreLimits::small())
-            .with_threads(1)
-            .build_session();
+        let mut s = Explorer::new(&g, ExploreLimits::small()).build_session();
         // A depth-0 resume from the root mirrors a cold depth-0 run:
         // the probe sees successors, so the search is not closed.
         let lim = ExploreLimits {
             max_depth: 0,
             ..ExploreLimits::small()
         };
-        let out = Explorer::new(&g, lim)
-            .with_threads(1)
-            .resume(&mut s, StateId(0), |x| g.is_complete(x));
+        let out = Explorer::new(&g, lim).resume(&mut s, StateId(0), |x| g.is_complete(x));
         assert!(out.goal_run.is_none());
         assert!(!out.stats.closed);
         assert_eq!(out.stats.limit_hit, Some(LimitKind::Depth));

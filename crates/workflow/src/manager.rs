@@ -224,10 +224,10 @@ pub struct FormManager {
     /// The oracle method Table 1 dispatch (or `force_method`) selects —
     /// fixed per session, decides session-graph eligibility.
     method: Method,
-    /// Explorer threads granted to each oracle run (`None`: the explorer
+    /// The thread grant recorded on each oracle run (`None`: the
     /// default). Layered hosts (e.g. `idar-server`, whose HTTP workers
-    /// each drive a manager) pin this to their `split_threads` share so
-    /// sessions never oversubscribe the host's budget.
+    /// each drive a manager) pin this to their `split_threads` share.
+    /// Accounting only: every exploration is sequential.
     threads: Option<usize>,
     /// Memory budget: evict the retained graph (falling back to cold
     /// solves) once it holds more than this many states.
@@ -282,8 +282,9 @@ impl FormManager {
         self
     }
 
-    /// Pin the explorer-thread grant of every oracle run this session
-    /// makes (thread counts are accounting, never verdict-affecting).
+    /// Pin the thread grant recorded on every oracle run this session
+    /// makes. Accounting only: no grant parallelises a single
+    /// exploration, and it never affects a verdict.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self

@@ -1,96 +1,82 @@
-//! Differential tests: the pooled parallel frontier engine must be
-//! indistinguishable from the sequential explorer wherever the contract
-//! promises it — same state set, same `SearchStats.closed`, same
-//! verdicts, same BFS goal depths — on the paper's running example, the
-//! Theorem 4.1 two-counter workloads, the limit *boundaries* (depth
-//! limit hitting exactly at a frontier, state-count cap firing
-//! mid-layer, a goal discovered inside a pool-claimed chunk) under both
-//! symmetry modes, and (via the proptest block at the bottom) on
-//! seed-generated `idar-gen` forms from every fragment.
+//! Differential tests for the explorer's exactness contract: a search is
+//! a pure function of form, limits and symmetry. Each test runs the same
+//! search through both exploration engines — the in-RAM BFS
+//! ([`Explorer::find`] / [`Explorer::graph`]) and the out-of-core
+//! capacity engine ([`Explorer::find_spilled`] under a tiny spill
+//! budget) — once on the calling thread and once on scoped worker
+//! threads racing each other, the way the batch pool and the server
+//! run one sequential exploration per form. Every run must report the
+//! same `SearchStats` (closedness, limit kind, state and transition
+//! counts) and the same BFS goal depth.
 //!
-//! These tests force thread counts above the machine's core count on
-//! purpose: the pooled code paths (lazy spawn, chunk claiming, sharded
-//! interning, barrier assignment, trim-at-finish) are exercised even on
-//! a single-core host.
+//! The inputs sit on the limit boundaries and the Theorem 4.1
+//! two-counter workloads: a depth limit that exhausts the space, a
+//! state cap firing mid-layer, halting machines whose goal runs must
+//! replay, and a non-halting machine that no engine may call complete.
 
-use idar::core::leave;
+use idar::core::{AccessRules, Formula, GuardedForm, Instance, Right, Schema};
 use idar::solver::{
-    completability, CompletabilityOptions, ExploreLimits, Explorer, LimitKind, Method,
-    SymmetryMode, Verdict,
+    ExploreLimits, ExploreOutcome, Explorer, LimitKind, MemoryBudget, SymmetryMode,
 };
 use idar_bench::workloads;
-use proptest::prelude::*;
+use std::sync::Arc;
 
-/// Sorted iso-codes of a graph's states: the canonical state set.
-fn state_set(g: &idar::solver::explore::StateGraph) -> Vec<String> {
-    let mut v: Vec<String> = g.states().iter().map(|s| s.iso_code()).collect();
-    v.sort_unstable();
-    v
+/// Small enough that the capacity engine spills pages on every input.
+const SPILL_BUDGET: MemoryBudget = MemoryBudget::bytes(4 * 1024);
+
+/// One goal search through both engines: `[in-RAM, capacity]`.
+fn both_engines(
+    form: &GuardedForm,
+    limits: ExploreLimits,
+    symmetry: SymmetryMode,
+    goal: fn(&GuardedForm, &Instance) -> bool,
+) -> [ExploreOutcome; 2] {
+    let explorer = Explorer::new(form, limits).with_symmetry(symmetry);
+    let in_ram = explorer.find(|i| goal(form, i));
+    let (capacity, _) = explorer
+        .with_memory_budget(SPILL_BUDGET)
+        .find_spilled(|i| goal(form, i));
+    [in_ram, capacity]
 }
 
-fn capped(cap: usize) -> ExploreLimits {
-    ExploreLimits {
-        multiplicity_cap: Some(cap),
-        ..ExploreLimits::small()
+/// [`both_engines`] for every case, first on the calling thread, then
+/// with every case on its own scoped worker thread at once; asserts the
+/// two passes agree outcome for outcome and returns the first pass.
+fn across_threads<C: Sync>(
+    cases: &[C],
+    search: impl Fn(&C) -> [ExploreOutcome; 2] + Sync,
+) -> Vec<[ExploreOutcome; 2]> {
+    let direct: Vec<_> = cases.iter().map(&search).collect();
+    let pooled: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = cases.iter().map(|case| s.spawn(|| search(case))).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (ix, (d, p)) in direct.iter().zip(&pooled).enumerate() {
+        for engine in 0..2 {
+            assert_eq!(
+                d[engine].stats, p[engine].stats,
+                "case {ix} engine {engine}"
+            );
+            assert_eq!(
+                d[engine].goal_run.as_ref().map(Vec::len),
+                p[engine].goal_run.as_ref().map(Vec::len),
+                "case {ix} engine {engine}: same BFS goal depth"
+            );
+        }
     }
+    direct
 }
 
-/// Ex. 3.12 leave form, multiplicity-capped so the space is finite: both
-/// engines must enumerate exactly the same isomorphism classes and agree
-/// that the capped search did not close (the cap prunes, by design).
-#[test]
-fn leave_example_3_12_same_state_set() {
-    let form = leave::example_3_12();
-    let seq = Explorer::new(&form, capped(2)).with_threads(1).graph();
-    for threads in [2, 4] {
-        let par = Explorer::new(&form, capped(2))
-            .with_threads(threads)
-            .graph();
-        assert_eq!(state_set(&par), state_set(&seq), "threads={threads}");
-        assert_eq!(par.stats.states, seq.stats.states);
-        assert_eq!(par.stats.transitions, seq.stats.transitions);
-        assert_eq!(par.stats.closed, seq.stats.closed);
-        assert_eq!(par.edge_count(), seq.edge_count());
-    }
+fn never(_: &GuardedForm, _: &Instance) -> bool {
+    false
 }
 
-/// Both engines find a complete run for φ = f at the same BFS depth, and
-/// both runs replay.
-#[test]
-fn leave_example_3_12_same_goal_depth() {
-    let form = leave::example_3_12();
-    let seq = Explorer::new(&form, ExploreLimits::small())
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
-    let par = Explorer::new(&form, ExploreLimits::small())
-        .with_threads(4)
-        .find(|i| form.is_complete(i));
-    let seq_run = seq.goal_run.expect("completable");
-    let par_run = par.goal_run.expect("completable");
-    assert_eq!(seq_run.len(), par_run.len());
-    assert!(form.is_complete_run(&par_run));
+fn complete(form: &GuardedForm, i: &Instance) -> bool {
+    form.is_complete(i)
 }
 
-/// φ = f ∧ ¬s has no complete run (Sec. 3.5): both engines agree on the
-/// verdict-relevant facts under the capped search.
-#[test]
-fn leave_negative_claim_agrees() {
-    let form = leave::example_3_12().with_completion(idar::core::Formula::parse("f & !s").unwrap());
-    let seq = Explorer::new(&form, capped(2))
-        .with_threads(1)
-        .find(|i| form.is_complete(i));
-    let par = Explorer::new(&form, capped(2))
-        .with_threads(4)
-        .find(|i| form.is_complete(i));
-    assert!(seq.goal_run.is_none());
-    assert!(par.goal_run.is_none());
-    assert_eq!(seq.stats.closed, par.stats.closed);
-    assert_eq!(seq.stats.states, par.stats.states);
-}
-
-/// Halting two-counter machines (Thm 4.1): completability through the
-/// forced bounded-exploration path must return `Holds` with equal-length
-/// witness runs from both engines.
+/// Halting two-counter machines (Thm 4.1): both engines find a complete
+/// run at the same BFS depth, and every witness replays complete.
 #[test]
 fn two_counter_halting_machines_agree() {
     let machines = [
@@ -100,32 +86,39 @@ fn two_counter_halting_machines_agree() {
         ),
         ("transfer(2)", idar::machines::library::transfer_c1_to_c2(2)),
     ];
-    for (name, machine) in machines {
-        let w = workloads::tcm(&machine, name, true);
-        let limits = ExploreLimits {
-            max_states: 500_000,
-            max_state_size: 256,
-            ..ExploreLimits::default()
-        };
-        let seq = Explorer::new(&w.form, limits)
-            .with_threads(1)
-            .find(|i| w.form.is_complete(i));
-        let par = Explorer::new(&w.form, limits)
-            .with_threads(4)
-            .find(|i| w.form.is_complete(i));
-        let seq_run = seq
+    let forms: Vec<_> = machines
+        .iter()
+        .map(|(name, m)| workloads::tcm(m, name, true).form)
+        .collect();
+    let limits = ExploreLimits {
+        max_states: 500_000,
+        max_state_size: 256,
+        ..ExploreLimits::default()
+    };
+    let outs = across_threads(&forms, |form| {
+        both_engines(form, limits, SymmetryMode::Reduced, complete)
+    });
+    for ((name, _), (form, [in_ram, capacity])) in machines.iter().zip(forms.iter().zip(&outs)) {
+        assert_eq!(in_ram.stats, capacity.stats, "{name}");
+        let ram_run = in_ram
             .goal_run
-            .unwrap_or_else(|| panic!("{name}: seq finds halt"));
-        let par_run = par
+            .as_ref()
+            .unwrap_or_else(|| panic!("{name}: in-RAM finds halt"));
+        let cap_run = capacity
             .goal_run
-            .unwrap_or_else(|| panic!("{name}: par finds halt"));
-        assert_eq!(seq_run.len(), par_run.len(), "{name}: same BFS goal depth");
-        assert!(w.form.is_complete_run(&par_run), "{name}: par run replays");
+            .as_ref()
+            .unwrap_or_else(|| panic!("{name}: capacity finds halt"));
+        assert_eq!(ram_run.len(), cap_run.len(), "{name}: same BFS goal depth");
+        assert!(form.is_complete_run(ram_run), "{name}: in-RAM run replays");
+        assert!(
+            form.is_complete_run(cap_run),
+            "{name}: capacity run replays"
+        );
     }
 }
 
-/// A diverging machine under tight limits: neither engine may claim a
-/// verdict, and closedness must agree (both searches are truncated).
+/// A non-halting machine under tight limits: no engine finds a complete
+/// run, and both agree on closedness and state count.
 #[test]
 fn two_counter_diverging_machine_agrees() {
     let machine = idar::machines::library::ping_pong();
@@ -135,85 +128,23 @@ fn two_counter_diverging_machine_agrees() {
         max_state_size: 64,
         ..ExploreLimits::default()
     };
-    let seq = Explorer::new(&w.form, limits)
-        .with_threads(1)
-        .find(|i| w.form.is_complete(i));
-    let par = Explorer::new(&w.form, limits)
-        .with_threads(4)
-        .find(|i| w.form.is_complete(i));
-    assert!(seq.goal_run.is_none());
-    assert!(par.goal_run.is_none());
-    assert_eq!(seq.stats.closed, par.stats.closed);
-    // When both searches closed, the negative answer is exact and the
-    // state sets must coincide in size.
-    if seq.stats.closed {
-        assert_eq!(seq.stats.states, par.stats.states);
-    }
-}
-
-/// The subset-lattice scaling workload: a closed 2ⁿ space where the two
-/// engines must agree on everything observable.
-#[test]
-fn subset_lattice_closed_space_agrees() {
-    let w = workloads::subset_lattice(8);
-    let seq = Explorer::new(&w.form, ExploreLimits::small())
-        .with_threads(1)
-        .graph();
-    let par = Explorer::new(&w.form, ExploreLimits::small())
-        .with_threads(4)
-        .graph();
-    assert_eq!(seq.state_count(), 256);
-    assert_eq!(state_set(&par), state_set(&seq));
-    assert!(seq.stats.closed && par.stats.closed);
-    assert_eq!(seq.stats.transitions, par.stats.transitions);
-}
-
-/// Depth limit hitting **exactly at a frontier**: layers below the limit
-/// are fully expanded by both engines, the probe fires on the frontier
-/// that still has successors, and everything observable agrees — under
-/// both symmetry modes. (The subset lattice grants deletes, so every
-/// depth-`d` frontier state has a successor and the limit must de-close
-/// the search.)
-#[test]
-fn depth_limit_hit_exactly_at_frontier_agrees() {
-    let w = workloads::subset_lattice(10);
-    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-        for max_depth in [1usize, 2, 3] {
-            let limits = ExploreLimits {
-                max_depth,
-                ..ExploreLimits::default()
-            };
-            let seq = Explorer::new(&w.form, limits)
-                .with_threads(1)
-                .with_symmetry(symmetry)
-                .graph();
-            assert_eq!(seq.stats.limit_hit, Some(LimitKind::Depth));
-            for threads in [2, 4] {
-                let par = Explorer::new(&w.form, limits)
-                    .with_threads(threads)
-                    .with_symmetry(symmetry)
-                    .graph();
-                let ctx = format!("{symmetry} depth {max_depth} threads {threads}");
-                assert_eq!(par.state_count(), seq.state_count(), "{ctx}");
-                assert_eq!(par.stats.states, seq.stats.states, "{ctx}");
-                assert_eq!(par.stats.transitions, seq.stats.transitions, "{ctx}");
-                assert!(!par.stats.closed, "{ctx}");
-                assert_eq!(par.stats.limit_hit, Some(LimitKind::Depth), "{ctx}");
-                assert_eq!(state_set(&par), state_set(&seq), "{ctx}");
-                assert_eq!(par.edge_count(), seq.edge_count(), "{ctx}");
-            }
-        }
+    let symmetries = [SymmetryMode::Reduced, SymmetryMode::Plain];
+    let outs = across_threads(&symmetries, |&symmetry| {
+        both_engines(&w.form, limits, symmetry, complete)
+    });
+    for (symmetry, [in_ram, capacity]) in symmetries.iter().zip(&outs) {
+        assert!(in_ram.goal_run.is_none(), "{symmetry}");
+        assert!(capacity.goal_run.is_none(), "{symmetry}");
+        assert_eq!(in_ram.stats, capacity.stats, "{symmetry}");
     }
 }
 
 /// A depth limit that exactly exhausts the space: the deletion-free
 /// lattice's deepest states have no successors, so the probe finds
 /// nothing, no limit is recorded, and the search **closes** — in both
-/// engines, under both symmetry modes.
+/// engines, under both symmetry modes, and in the retained graph too.
 #[test]
 fn depth_limit_exhausting_the_space_closes_in_both_engines() {
-    use idar::core::{AccessRules, Formula, GuardedForm, Instance, Schema};
-    use std::sync::Arc;
     let n = 6usize;
     let labels: Vec<String> = (0..n).map(|i| format!("l{i}")).collect();
     let schema = Arc::new(Schema::parse(&labels.join(", ")).unwrap());
@@ -221,7 +152,7 @@ fn depth_limit_exhausting_the_space_closes_in_both_engines() {
     for l in &labels {
         // Add-once, never delete: depth n is a dead end, not a frontier.
         rules.set(
-            idar::core::Right::Add,
+            Right::Add,
             schema.resolve(l).unwrap(),
             Formula::parse(&format!("!{l}")).unwrap(),
         );
@@ -236,173 +167,61 @@ fn depth_limit_exhausting_the_space_closes_in_both_engines() {
         max_depth: n,
         ..ExploreLimits::default()
     };
-    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-        let seq = Explorer::new(&form, limits)
-            .with_threads(1)
-            .with_symmetry(symmetry)
-            .graph();
-        assert!(seq.stats.closed, "{symmetry}: depth n exhausts the space");
-        assert_eq!(seq.stats.limit_hit, None, "{symmetry}");
+    let symmetries = [SymmetryMode::Reduced, SymmetryMode::Plain];
+    let outs = across_threads(&symmetries, |&symmetry| {
+        both_engines(&form, limits, symmetry, never)
+    });
+    for (&symmetry, [in_ram, capacity]) in symmetries.iter().zip(&outs) {
+        assert!(
+            in_ram.stats.closed,
+            "{symmetry}: depth n exhausts the space"
+        );
+        assert_eq!(in_ram.stats.limit_hit, None, "{symmetry}");
+        assert_eq!(in_ram.stats, capacity.stats, "{symmetry}");
+        let graph = Explorer::new(&form, limits).with_symmetry(symmetry).graph();
+        assert!(graph.stats.closed, "{symmetry}: graph closes");
+        assert_eq!(graph.stats.limit_hit, None, "{symmetry}");
+        assert_eq!(graph.state_count(), in_ram.stats.states, "{symmetry}");
         if symmetry == SymmetryMode::Reduced {
-            assert_eq!(seq.state_count(), 1 << n, "one state per subset");
-        }
-        for threads in [2, 4] {
-            let par = Explorer::new(&form, limits)
-                .with_threads(threads)
-                .with_symmetry(symmetry)
-                .graph();
-            assert!(par.stats.closed, "{symmetry} threads {threads}");
-            assert_eq!(par.stats.limit_hit, None, "{symmetry} threads {threads}");
-            assert_eq!(par.state_count(), seq.state_count());
-            assert_eq!(par.stats.transitions, seq.stats.transitions);
-            assert_eq!(state_set(&par), state_set(&seq));
+            assert_eq!(graph.state_count(), 1 << n, "one state per subset");
         }
     }
 }
 
-/// State-count cap firing **mid-layer**: both engines must stop at
-/// *exactly* the cap (the pooled engine trims barrier assignment at the
-/// cap, whatever its workers interned past it), report the `States`
-/// limit, and stay un-closed — under both symmetry modes.
+/// State-count cap firing **mid-layer**: both engines stop at exactly
+/// the cap, report the `States` limit and stay un-closed — under both
+/// symmetry modes, and in the retained graph too.
 #[test]
 fn state_limit_mid_layer_agrees() {
     let w = workloads::subset_lattice(8);
+    let mut cases = Vec::new();
     for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
         for max_states in [2usize, 7, 37, 100] {
-            let limits = ExploreLimits {
-                max_states,
-                ..ExploreLimits::default()
-            };
-            let seq = Explorer::new(&w.form, limits)
-                .with_threads(1)
-                .with_symmetry(symmetry)
-                .graph();
-            for threads in [2, 4] {
-                let par = Explorer::new(&w.form, limits)
-                    .with_threads(threads)
-                    .with_symmetry(symmetry)
-                    .graph();
-                let ctx = format!("{symmetry} cap {max_states} threads {threads}");
-                assert_eq!(seq.state_count(), max_states, "{ctx}");
-                assert_eq!(par.state_count(), max_states, "{ctx}");
-                assert_eq!(par.stats.states, seq.stats.states, "{ctx}");
-                assert!(!seq.stats.closed && !par.stats.closed, "{ctx}");
-                assert_eq!(seq.stats.limit_hit, Some(LimitKind::States), "{ctx}");
-                assert_eq!(par.stats.limit_hit, Some(LimitKind::States), "{ctx}");
-            }
+            cases.push((symmetry, max_states));
         }
     }
-}
-
-/// A goal discovered **inside a pool-claimed chunk**: the goal sits deep
-/// in combinatorially wide layers (well past the dispatch threshold for
-/// every thread count tested), so it is found by a worker mid-chunk, not
-/// by the coordinator — and its BFS depth must still match the
-/// sequential engine exactly, under both symmetry modes.
-#[test]
-fn goal_found_during_stolen_chunk_agrees() {
-    let w = workloads::subset_lattice(12);
-    for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-        // Reduced: 2¹² subsets, goal deep at depth 8. Plain: the ordered
-        // space explodes past the state cap beyond depth 5, so the goal
-        // sits at depth 5 — still behind combinatorially wide layers.
-        let goal_size = match symmetry {
-            SymmetryMode::Reduced => 8usize,
-            SymmetryMode::Plain => 5usize,
-        };
-        let goal =
-            |i: &idar::core::Instance| i.children(idar::core::InstNodeId::ROOT).len() == goal_size;
-        let seq = Explorer::new(&w.form, ExploreLimits::default())
-            .with_threads(1)
-            .with_symmetry(symmetry)
-            .find(goal);
-        let seq_run = seq.goal_run.expect("goal reachable");
-        assert_eq!(seq_run.len(), goal_size, "{symmetry}: goal at BFS depth");
-        for threads in [2, 4, 8] {
-            let par = Explorer::new(&w.form, ExploreLimits::default())
-                .with_threads(threads)
-                .with_symmetry(symmetry)
-                .find(goal);
-            let par_run = par
-                .goal_run
-                .unwrap_or_else(|| panic!("{symmetry} threads {threads}: goal missed"));
-            assert_eq!(
-                par_run.len(),
-                seq_run.len(),
-                "{symmetry} threads {threads}: same BFS goal depth"
-            );
-            let replay = w.form.replay(&par_run).expect("pooled run replays");
-            assert!(goal(replay.last()), "{symmetry} threads {threads}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Pooled-engine `SearchStats` and goal verdicts match the
-    /// sequential engine on seed-generated forms from every `idar-gen`
-    /// fragment: counts/closedness always, transitions and state sets on
-    /// closed searches, goal existence and BFS depth whenever neither
-    /// engine hit a limit, and every returned run must replay complete.
-    #[test]
-    fn pooled_engine_matches_sequential_on_generated_forms(
-        ix in 0usize..4,
-        seed in 0u64..1_000_000,
-    ) {
-        use idar_gen::{generate, FragmentSpec, GenConfig};
-        let cfg = GenConfig::new(FragmentSpec::ALL[ix % FragmentSpec::ALL.len()]);
-        let form = generate(&cfg, seed);
+    let outs = across_threads(&cases, |&(symmetry, max_states)| {
         let limits = ExploreLimits {
-            max_states: 3_000,
-            max_state_size: 20,
-            max_depth: usize::MAX,
-            multiplicity_cap: Some(2),
+            max_states,
+            ..ExploreLimits::default()
         };
-        let seq = Explorer::new(&form, limits).with_threads(1).graph();
-        let par = Explorer::new(&form, limits).with_threads(4).graph();
-        prop_assert_eq!(par.state_count(), seq.state_count());
-        prop_assert_eq!(par.stats.states, seq.stats.states);
-        prop_assert_eq!(par.stats.closed, seq.stats.closed);
-        if seq.stats.closed {
-            prop_assert_eq!(par.stats.transitions, seq.stats.transitions);
-            prop_assert_eq!(state_set(&par), state_set(&seq));
-            prop_assert_eq!(par.edge_count(), seq.edge_count());
-        }
-
-        let seq_f = Explorer::new(&form, limits)
-            .with_threads(1)
-            .find(|i| form.is_complete(i));
-        let par_f = Explorer::new(&form, limits)
-            .with_threads(4)
-            .find(|i| form.is_complete(i));
-        if seq_f.stats.limit_hit.is_none() && par_f.stats.limit_hit.is_none() {
-            prop_assert_eq!(seq_f.goal_run.is_some(), par_f.goal_run.is_some());
-            if let (Some(a), Some(b)) = (&seq_f.goal_run, &par_f.goal_run) {
-                prop_assert_eq!(a.len(), b.len());
-            }
-        }
-        for run in [&seq_f.goal_run, &par_f.goal_run].into_iter().flatten() {
-            prop_assert!(form.is_complete_run(run));
-        }
+        both_engines(&w.form, limits, symmetry, never)
+    });
+    for (&(symmetry, max_states), [in_ram, capacity]) in cases.iter().zip(&outs) {
+        let ctx = format!("{symmetry} cap {max_states}");
+        assert_eq!(in_ram.stats.states, max_states, "{ctx}");
+        assert!(!in_ram.stats.closed, "{ctx}");
+        assert_eq!(in_ram.stats.limit_hit, Some(LimitKind::States), "{ctx}");
+        assert_eq!(in_ram.stats, capacity.stats, "{ctx}");
+        let limits = ExploreLimits {
+            max_states,
+            ..ExploreLimits::default()
+        };
+        let graph = Explorer::new(&w.form, limits)
+            .with_symmetry(symmetry)
+            .graph();
+        assert_eq!(graph.state_count(), max_states, "{ctx}");
+        assert_eq!(graph.stats.limit_hit, Some(LimitKind::States), "{ctx}");
+        assert!(!graph.stats.closed, "{ctx}");
     }
-}
-
-/// End-to-end through the solver dispatch: forcing bounded exploration on
-/// the leave form yields the same verdict regardless of engine (the
-/// solver uses the explorer's default thread count internally, so this
-/// also smoke-tests the default path).
-#[test]
-fn completability_verdicts_engine_independent() {
-    let form = leave::example_3_12();
-    let r = completability(
-        &form,
-        &CompletabilityOptions {
-            limits: ExploreLimits::small(),
-            force_method: Some(Method::BoundedExploration),
-            ..Default::default()
-        },
-    );
-    assert_eq!(r.verdict, Verdict::Holds);
-    assert!(form.is_complete_run(r.witness_run.as_ref().unwrap()));
 }

@@ -9,13 +9,14 @@
 //! * `canonicalize()` maps every renaming to the identical canonical
 //!   form and fingerprint (and is itself a fixpoint);
 //! * completability **and** semi-soundness verdicts agree across
-//!   renamings, on the sequential *and* the parallel engine;
+//!   renamings, on the in-RAM *and* the out-of-core capacity engine;
 //! * the `StateStore` intern/lookup fixpoint: interning any member of a
 //!   class and looking up any other member yields the same dense id.
 
 use idar::core::Instance;
 use idar::solver::{
-    analyze, AnalysisKind, AnalysisRequest, Budget, ExploreLimits, StateStore, SymmetryMode,
+    analyze, AnalysisKind, AnalysisRequest, Budget, ExploreLimits, MemoryBudget, StateStore,
+    SymmetryMode,
 };
 use idar_gen::{generate, generate_stream, FragmentSpec, GenConfig};
 use idar_logic::gen::{Rng, XorShift};
@@ -105,24 +106,21 @@ fn verdicts_are_invariant_under_renaming_all_fragments_both_engines() {
         for (k, form) in forms_of(fragment, 6).into_iter().enumerate() {
             let mut rng = XorShift::new(0xBEEF ^ (k as u64) << 3);
             for kind in [AnalysisKind::Completability, AnalysisKind::Semisoundness] {
-                for threads in [1usize, 4] {
+                for memory in [MemoryBudget::unbounded(), MemoryBudget::bytes(4 * 1024)] {
+                    let budget = Budget { memory, ..budget() };
                     let base = analyze(
-                        &AnalysisRequest::new(form.clone(), kind)
-                            .with_budget(budget())
-                            .with_threads(threads),
+                        &AnalysisRequest::new(form.clone(), kind).with_budget(budget.clone()),
                     );
                     for r in 0..2 {
                         let renamed = form.with_initial(random_renaming(form.initial(), &mut rng));
                         let got = analyze(
-                            &AnalysisRequest::new(renamed, kind)
-                                .with_budget(budget())
-                                .with_threads(threads),
+                            &AnalysisRequest::new(renamed, kind).with_budget(budget.clone()),
                         );
                         if base.stats.limit_hit.is_none() && got.stats.limit_hit.is_none() {
                             assert_eq!(
                                 got.verdict, base.verdict,
                                 "{fragment} case {k}: {kind} verdict changed under \
-                                 renaming {r} (threads {threads})"
+                                 renaming {r} (memory {memory})"
                             );
                         } else {
                             // At a resource boundary the verdict may be
@@ -136,7 +134,7 @@ fn verdicts_are_invariant_under_renaming_all_fragments_both_engines() {
                             assert!(
                                 !contradiction,
                                 "{fragment} case {k}: {kind} decided verdicts contradict \
-                                 under renaming {r} (threads {threads})"
+                                 under renaming {r} (memory {memory})"
                             );
                         }
                     }

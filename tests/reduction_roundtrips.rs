@@ -186,6 +186,7 @@ fn dimacs_through_the_reduction_pipeline() {
 #[test]
 fn thm_4_1_machine_suite_roundtrip() {
     use idar::machines::library;
+    use idar::solver::{ExploreLimits, Explorer};
     // Halting and non-halting machines; verdicts must track halting
     // (bounded verdicts may be Unknown for non-halting, never Holds).
     let suite: Vec<(idar::machines::TwoCounterMachine, bool)> = vec![
@@ -197,7 +198,7 @@ fn thm_4_1_machine_suite_roundtrip() {
     ];
     for (machine, halts) in suite {
         let compiled = tcm_to_completability::reduce(&machine);
-        let limits = idar::solver::ExploreLimits {
+        let limits = ExploreLimits {
             max_states: if halts { 500_000 } else { 15_000 },
             max_state_size: 128,
             ..Default::default()
@@ -205,8 +206,26 @@ fn thm_4_1_machine_suite_roundtrip() {
         let r = completability(&compiled.form, &CompletabilityOptions::with_limits(limits));
         if halts {
             assert_eq!(r.verdict, Verdict::Holds);
+            // The explorer's own goal run replays to a complete instance.
+            let out = Explorer::new(&compiled.form, limits).find(|i| compiled.form.is_complete(i));
+            let run = out.goal_run.expect("a halting machine's run is found");
+            assert!(compiled.form.is_complete_run(&run), "goal run replays");
         } else {
             assert_ne!(r.verdict, Verdict::Holds);
         }
+    }
+    // Goal-free searches: the ping-pong loop never grows the counters, so
+    // its space is finite and the search closes (an exact negative); the
+    // diverging machine increments forever, so its search cannot close.
+    for (machine, closes) in [(library::ping_pong(), true), (library::diverge(), false)] {
+        let form = tcm_to_completability::reduce(&machine).form;
+        let limits = ExploreLimits {
+            max_states: 15_000,
+            max_state_size: 128,
+            ..Default::default()
+        };
+        let out = Explorer::new(&form, limits).find(|i| form.is_complete(i));
+        assert!(out.goal_run.is_none());
+        assert_eq!(out.stats.closed, closes);
     }
 }

@@ -1,6 +1,6 @@
 //! Workspace-level differential suite for the scenario corpus: verdicts
 //! on scenario forms must be invariant under every engine configuration
-//! the pipeline exposes — sequential vs pooled exploration,
+//! the pipeline exposes — in-RAM vs out-of-core (capacity) exploration,
 //! `SymmetryMode::{Reduced, Plain}`, and cold vs cached
 //! `AnalysisRequest` paths — and the six named scenarios carry golden
 //! verdict pins re-checked on every run.
@@ -9,8 +9,8 @@ use idar::gen::constraints::{check_run, constrained_completable};
 use idar::gen::scenario::named_scenarios;
 use idar::gen::ScenarioAxis;
 use idar::solver::{
-    analyze, analyze_with, AnalysisKind, AnalysisRequest, Budget, ExploreLimits, SymmetryMode,
-    Verdict, VerdictCache,
+    analyze, analyze_with, AnalysisKind, AnalysisRequest, Budget, ExploreLimits, MemoryBudget,
+    SymmetryMode, Verdict, VerdictCache,
 };
 use idar::workflow::runs::{enumerate_complete_runs, EnumerateOptions};
 
@@ -35,12 +35,14 @@ fn budget(symmetry: SymmetryMode) -> Budget {
 fn verdict_invariant(form: &idar::core::GuardedForm, kind: AnalysisKind, name: &str) -> Verdict {
     let mut verdicts = Vec::new();
     for symmetry in [SymmetryMode::Reduced, SymmetryMode::Plain] {
-        for threads in [1usize, 4] {
-            let req = AnalysisRequest::new(form.clone(), kind)
-                .with_budget(budget(symmetry))
-                .with_threads(threads);
+        for memory in [MemoryBudget::unbounded(), MemoryBudget::bytes(1 << 20)] {
+            let budget = Budget {
+                memory,
+                ..budget(symmetry)
+            };
+            let req = AnalysisRequest::new(form.clone(), kind).with_budget(budget);
             let cold = analyze(&req);
-            verdicts.push((format!("{symmetry:?}/t{threads}/cold"), cold.verdict));
+            verdicts.push((format!("{symmetry:?}/{memory}/cold"), cold.verdict));
 
             let cache = VerdictCache::new();
             let miss = analyze_with(&req, Some(&cache));
@@ -55,8 +57,8 @@ fn verdict_invariant(form: &idar::core::GuardedForm, kind: AnalysisKind, name: &
                 idar::solver::CacheProvenance::Hit,
                 "{name}: second cached run should hit"
             );
-            verdicts.push((format!("{symmetry:?}/t{threads}/miss"), miss.verdict));
-            verdicts.push((format!("{symmetry:?}/t{threads}/hit"), hit.verdict));
+            verdicts.push((format!("{symmetry:?}/{memory}/miss"), miss.verdict));
+            verdicts.push((format!("{symmetry:?}/{memory}/hit"), hit.verdict));
         }
     }
     let (ref first_cfg, first) = verdicts[0];
